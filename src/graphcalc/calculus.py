@@ -15,6 +15,7 @@ records: slack >= 0 means the claim holds at that vertex.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ComplexNotAllowedError
 from .graph import VertexFunction, WeightedGraph, require_same_domain
@@ -95,6 +96,11 @@ def _grad_sq_values(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
     diff = values[g._ent_cols] - values[g._ent_rows]
     terms = g._ent_coef * _abs2(diff)
     return np.add.reduceat(terms, g._row_ptr[:-1])
+
+
+def _combinatorial_laplacian(g: WeightedGraph) -> sp.csr_matrix:
+    """L = D - W, the symmetric form with lap = -D^{-1} L."""
+    return (sp.diags(g.degrees) - g.weight_matrix).tocsr()
 
 
 def laplacian(g: WeightedGraph, u: VertexFunction) -> VertexFunction:

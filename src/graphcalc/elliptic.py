@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .calculus import (
     DEFAULT_TOL,
     CertificateReport,
+    _combinatorial_laplacian,
     _grad_sq_values,
     _laplacian_values,
     _slack_dict,
@@ -35,8 +35,6 @@ from .errors import (
 )
 from .graph import VertexFunction, WeightedGraph, d_constant, require_same_domain
 from .serialize import json_dumps
-
-DENSE_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -120,12 +118,6 @@ class SolveReport:
 # -- linear Schrodinger systems on truncations --------------------------------
 
 
-def _combinatorial_laplacian(g: WeightedGraph) -> sp.csr_matrix:
-    """L = D - W, the symmetric form with lap = -D^{-1} L."""
-    d = sp.diags(g.degrees)
-    return (d - g.weight_matrix).tocsr()
-
-
 def solve_linear_schrodinger(
     g: WeightedGraph,
     Q: Potential,
@@ -139,7 +131,13 @@ def solve_linear_schrodinger(
     clamped to the given values and exempt from the equation. Without any
     Dirichlet vertex and with Q identically zero the system is singular and
     ``f`` must satisfy the compatibility condition sum_x d_x f(x) = 0; the
-    returned solution is then gauged to zero degree-weighted mean.
+    solution is then fixed by the gauge sum_x d_x u(x) = 0, imposed as the
+    border of the nonsingular system [[S, d], [d^T, 0]] whose multiplier
+    absorbs the tolerated incompatibility.
+
+    Every case is one sparse LU factorization of the free-vertex block of
+    S = D - W + D Q, in complex arithmetic when ``f`` or the Dirichlet data
+    is complex.
     """
     fv = require_same_domain(g, f)
     qv = require_same_domain(g, Q.values)
@@ -175,18 +173,14 @@ def solve_linear_schrodinger(
                 raise IncompatibleRHSError(
                     f"singular system: sum d_x f(x) = {compat!r} must vanish"
                 )
-            sol, *_ = scipy.linalg.lstsq(S_ff.toarray(), rhs)
-            sol = sol - np.sum(g.degrees * sol) / np.sum(g.degrees)
-            u[free] = sol
-        else:
-            try:
-                if len(free) <= DENSE_LIMIT:
-                    c, low = scipy.linalg.cho_factor(S_ff.toarray())
-                    u[free] = scipy.linalg.cho_solve((c, low), rhs)
-                else:
-                    u[free] = spla.splu(S_ff.tocsc()).solve(rhs)
-            except (scipy.linalg.LinAlgError, RuntimeError) as exc:
-                raise SingularSystemError(f"factorization failed: {exc}") from None
+            gauge = sp.csr_matrix(g.degrees[None, :])
+            S_ff = sp.bmat([[S_ff, gauge.T], [gauge, None]])
+            rhs = np.append(rhs, 0.0)
+        try:
+            lu = spla.splu(S_ff.astype(dtype).tocsc())
+        except RuntimeError as exc:
+            raise SingularSystemError(f"factorization failed: {exc}") from None
+        u[free] = lu.solve(rhs)[: free.size]
 
     residual = _laplacian_values(g, u) * -1.0 + qv * u - fv
     res = float(np.max(np.abs(residual[free]))) if free.size else 0.0
@@ -205,25 +199,41 @@ def _gl_residual(g: WeightedGraph, v: np.ndarray) -> np.ndarray:
     return _laplacian_values(g, v) + v * (1.0 - v * v)
 
 
-def _gl_newton_step(g: WeightedGraph, v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve the linearized system J delta = -r; raises LinAlgError when singular."""
-    P = g.dense_transition()
+def _gl_newton_step(P: sp.csr_matrix, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve the linearized system J delta = -r by sparse LU.
+
+    ``P`` is the random-walk matrix D^{-1} W, so lap = P - I and the
+    Jacobian is J = P - diag(3 v^2) for real v. For complex v = a + i b the
+    map is not complex-linear, and J acts on (Re delta, Im delta) as the
+    real 2n x 2n block system
+
+        [[P - diag(3a^2 + b^2), diag(-2ab)], [diag(-2ab), P - diag(a^2 + 3b^2)]].
+
+    Raises LinAlgError when SuperLU meets an exactly zero pivot or the step
+    is not finite, which sends the caller to its fixed-point fallback.
+    """
     if np.iscomplexobj(v):
         a, b = v.real, v.imag
-        j11 = P - np.diag(3.0 * a * a + b * b)
-        j22 = P - np.diag(a * a + 3.0 * b * b)
-        cross = np.diag(-2.0 * a * b)
-        jac = np.block([[j11, cross], [cross, j22]])
+        cross = sp.diags(-2.0 * a * b)
+        jac = sp.bmat(
+            [
+                [P - sp.diags(3.0 * a * a + b * b), cross],
+                [cross, P - sp.diags(a * a + 3.0 * b * b)],
+            ]
+        )
         rhs = -np.concatenate([r.real, r.imag])
-        delta = scipy.linalg.solve(jac, rhs)
-        if not np.all(np.isfinite(delta)):
-            raise scipy.linalg.LinAlgError("non-finite Newton step")
+    else:
+        jac = P - sp.diags(3.0 * v * v)
+        rhs = -r
+    try:
+        delta = spla.splu(jac.tocsc()).solve(rhs)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise np.linalg.LinAlgError(str(exc)) from None
+    if not np.all(np.isfinite(delta)):
+        raise np.linalg.LinAlgError("non-finite Newton step")
+    if np.iscomplexobj(v):
         n = len(v)
         return delta[:n] + 1j * delta[n:]
-    jac = P - np.diag(3.0 * v * v)
-    delta = scipy.linalg.solve(jac, -r)
-    if not np.all(np.isfinite(delta)):
-        raise scipy.linalg.LinAlgError("non-finite Newton step")
     return delta
 
 
@@ -248,6 +258,9 @@ def solve_ginzburg_landau(
     cfg = config or SolverConfig()
     v = require_same_domain(g, init).copy()
     max_backtracks = 12
+    n = g.n_vertices
+    # P = D^{-1} W with entries mu_xy / d_x, built once for every Newton step.
+    P = sp.csr_matrix((g._ent_coef, g._ent_cols, g._row_ptr), shape=(n, n))
 
     damping_events = 0
     singular_stalls = 0
@@ -269,9 +282,9 @@ def solve_ginzburg_landau(
 
         took_step = False
         try:
-            delta = _gl_newton_step(g, v, r)
+            delta = _gl_newton_step(P, v, r)
             singular = False
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             singular = True
         if not singular:
             t = 1.0

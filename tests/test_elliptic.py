@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import graphcalc as gc
+from graphcalc import elliptic
 from conftest import family_corpus
 from oracles import eigenvalues_ref
 
@@ -87,6 +88,22 @@ def test_complex_dirichlet_data(p3):
     assert u["b"] == pytest.approx(0.5 + 0.5j, abs=1e-12)
 
 
+def test_complex_data_same_tolerance_across_n_2048():
+    # n = 2025 and n = 2116: one factorization path, so complex data solves
+    # to the same tolerance on both sides of 2048
+    rng = np.random.default_rng(5)
+    for rows in (45, 46):
+        g = gc.generate("grid2d", rows=rows, cols=rows)
+        n = g.n_vertices
+        f = gc.VertexFunction(g.vertices, rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        boundary = {g.vertices[0]: 1j, g.vertices[-1]: 1.0}
+        u, report = gc.solve_linear_schrodinger(g, gc.Potential.zero(g), f, boundary)
+        assert report.converged, rows
+        assert report.final_residual <= 1e-10, rows
+        assert u.is_complex
+        assert u[g.vertices[0]] == 1j and u[g.vertices[-1]] == 1.0
+
+
 def test_potential_validation(p3):
     with pytest.raises(gc.NegativeInputError):
         gc.Potential(gc.VertexFunction.from_dict(p3, {"a": -0.1, "b": 0.0, "c": 0.0}))
@@ -130,6 +147,40 @@ def test_gl_zero_budget_returns_unconverged(k3):
     u, report = gc.solve_ginzburg_landau(k3, init, gc.SolverConfig(max_iters=0))
     assert not report.converged
     assert report.final_residual > 0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gl_exactly_singular_jacobian_falls_back(monkeypatch, p3, dtype):
+    # on the path a-b-c the rows of P for a and c coincide, so at
+    # v = (0, t, 0) the Jacobian P - diag(3 v^2) is exactly singular
+    outcomes = []
+    newton_step = elliptic._gl_newton_step
+
+    def spy(P, v, r):
+        try:
+            delta = newton_step(P, v, r)
+        except np.linalg.LinAlgError:
+            outcomes.append("singular")
+            raise
+        outcomes.append("step")
+        return delta
+
+    monkeypatch.setattr(elliptic, "_gl_newton_step", spy)
+    init = gc.VertexFunction(p3.vertices, np.array([0.0, 0.5, 0.0], dtype=dtype))
+    u, report = gc.solve_ginzburg_landau(p3, init, gc.SolverConfig(tol=1e-12))
+    assert outcomes[0] == "singular"
+    assert report.damping_events >= 1
+    assert report.converged
+    assert gc.verify_gl_bound(p3, u, tol=1e-9).passed
+
+
+def test_gl_singular_jacobian_with_stalled_fallback_raises(p3):
+    # v = (0, 1e-323, 0): 3 v^2 underflows to 0, so the Jacobian is P itself,
+    # exactly singular; the residual 1e-323 times the damping rounds to 0, so
+    # fixed-point updates leave v unchanged and every fallback stalls
+    init = gc.VertexFunction(p3.vertices, np.array([0.0, 1e-323, 0.0]))
+    with pytest.raises(gc.SingularJacobianError):
+        gc.solve_ginzburg_landau(p3, init, gc.SolverConfig(tol=5e-324))
 
 
 def test_solver_config_validation():

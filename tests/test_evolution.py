@@ -149,6 +149,19 @@ def test_check_parabolic_max_flags_synthetic_violation():
     assert report.min_slack == min(report.slack.values())
 
 
+def test_check_parabolic_max_tiny_dt_spike_passes():
+    # the max falls by ~1e-13 per step, below tol: a decrease all the same
+    g = gc.generate("path", n=5)
+    u0 = gc.VertexFunction(g.vertices, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+    _, _, diag = gc.evolve_heat(g, u0, _cfg("heat_implicit", dt=1e-13, steps=5))
+    assert diag.monotone
+    assert all(b < a for a, b in zip(diag.max_values, diag.max_values[1:]))
+    report = gc.check_parabolic_max(diag)
+    assert report.passed
+    assert not report.info["interior_sup_violation"]
+    assert report.info["violating_step"] is None
+
+
 def test_parabolic_random_corpus_passes():
     rng = np.random.default_rng(13)
     for _, g in family_corpus(1):
@@ -245,18 +258,36 @@ def test_gp_free_energy_second_order(k3):
     assert 3.2 <= ratio <= 4.8
 
 
-def test_iterative_solver_branch_above_dense_limit():
-    g = gc.generate("cycle", n=2100)
+def test_large_grid_flows_keep_tolerances_across_n_2048():
+    # 45x45 and 46x46 grids (n = 2025, 2116) sit on either side of 2048,
+    # where the solver once switched from dense LU to GMRES; both must meet
+    # the same tolerances, at a step large enough to stress the solve.
     rng = np.random.default_rng(0)
-    u0 = gc.random_vertex_function(g, rng)
-    _, _, diag = gc.evolve_heat(g, u0, _cfg("heat_implicit", dt=0.3, steps=3))
-    assert diag.monotone
-    z0 = gc.random_vertex_function(g, rng, complex_values=True)
-    _, trace = gc.schrodinger_evolve(g, z0, _cfg("schrodinger_cn", dt=0.01, steps=3))
-    m = np.array(trace.mass)
-    e = np.array(trace.dirichlet_energy)
-    assert np.max(np.abs(m - m[0])) <= 1e-10 * m[0]
-    assert np.max(np.abs(e - e[0])) <= 1e-10 * max(1.0, e[0])
+    for rows in (45, 46):
+        g = gc.generate("grid2d", rows=rows, cols=rows)
+        z0 = gc.random_vertex_function(g, rng, complex_values=True)
+        _, trace = gc.schrodinger_evolve(g, z0, _cfg("schrodinger_cn", dt=100.0, steps=50))
+        m = np.array(trace.mass)
+        e = np.array(trace.dirichlet_energy)
+        assert np.max(np.abs(m - m[0])) <= 1e-13 * m[0], rows
+        assert np.max(np.abs(e - e[0])) <= 1e-13 * max(1.0, e[0]), rows
+        u0 = gc.random_vertex_function(g, rng)
+        _, _, diag = gc.evolve_heat(g, u0, _cfg("heat_implicit", dt=0.3, steps=20))
+        assert diag.monotone, rows
+        assert gc.check_parabolic_max(diag).passed, rows
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("dt", [1e308, float("inf")])
+def test_degenerate_step_matrix_raises_solve_failure(k3, dt):
+    # an infinite dt makes the step matrix exactly singular for the LU; a
+    # huge finite one overflows into a non-finite solve
+    u0 = gc.VertexFunction(k3.vertices, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(gc.LinearSolveFailureError):
+        gc.evolve_heat(k3, u0, _cfg("heat_implicit", dt=dt, steps=1))
+    with pytest.raises(gc.LinearSolveFailureError):
+        gc.schrodinger_evolve(k3, u0, _cfg("schrodinger_cn", dt=dt, steps=1))
 
 
 def test_gp_phase_step_preserves_modulus(k3):
