@@ -12,6 +12,8 @@ the product rule for u^2, and their corollaries) into per-vertex slack
 records: slack >= 0 means the claim holds at that vertex.
 """
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,42 +26,125 @@ from .serialize import json_dumps
 DEFAULT_TOL = 1e-10
 
 
+class SlackView(Mapping):
+    """Read-only ``{key: slack}`` mapping over a float64 slack array.
+
+    Entry ``i`` belongs to ``keys[i]``, or to ``keys[index[i]]`` when an
+    index array selects a subset of the keys. ``ordered`` declares that the
+    entries' keys ascend, which lets the worst key be read off the first
+    minimal entry. The per-key dict is built only on the first lookup.
+    """
+
+    __slots__ = ("_keys", "_index", "_values", "_ordered", "_imin", "_dict")
+
+    def __init__(self, keys: tuple[str, ...], values: np.ndarray, *, index=None, ordered=False):
+        values = np.asarray(values, dtype=np.float64)
+        values.setflags(write=False)
+        self._keys = keys
+        self._index = index
+        self._values = values
+        self._ordered = ordered
+        self._imin = None
+        self._dict = None
+
+    def _key(self, i: int) -> str:
+        return self._keys[i] if self._index is None else self._keys[self._index[i]]
+
+    def _first_min_index(self) -> int:
+        # argmin returns the first minimal entry, and the first NaN if any
+        if self._imin is None:
+            self._imin = int(np.argmin(self._values))
+        return self._imin
+
+    def first_min(self) -> float:
+        """The first minimal entry, as the builtin ``min`` returns it on NaN-free
+        input (so ``[0.0, -0.0]`` gives ``0.0``); NaN if any entry is NaN,
+        infinity if there are no entries."""
+        if not len(self._values):
+            return float("inf")
+        return float(self._values[self._first_min_index()])
+
+    def worst_key(self) -> str | None:
+        """The smallest key among the minimal entries (among the NaN entries,
+        if any); None if there are no entries."""
+        if not len(self._values):
+            return None
+        i = self._first_min_index()
+        if self._ordered:
+            return self._key(i)
+        m = self._values[i]
+        tied = np.isnan(self._values) if np.isnan(m) else self._values == m
+        return min(self._key(j) for j in np.flatnonzero(tied))
+
+    def _as_dict(self) -> dict[str, float]:
+        if self._dict is None:
+            keys = self._keys if self._index is None else [self._keys[i] for i in self._index.tolist()]
+            self._dict = dict(zip(keys, self._values.tolist()))
+        return self._dict
+
+    def __getitem__(self, key: str) -> float:
+        return self._as_dict()[key]
+
+    def __iter__(self):
+        return iter(self._as_dict())
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return f"SlackView({self._as_dict()!r})"
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Per-vertex slack record for one inequality or identity check.
 
-    ``passed`` is true exactly when ``min_slack >= -tol``. ``info`` carries
-    optional informational extras that are reported but never asserted.
+    ``slack`` is a read-only :class:`SlackView`: the slack values live in a
+    float64 array aligned with the checked keys (usually ``g.vertices``), and
+    a ``{key: float}`` dict is built only when something reads it. A plain
+    mapping passed to the constructor is wrapped in a view.
+
+    ``min_slack`` is the first minimal slack, and ``passed`` is true exactly
+    when ``min_slack >= -tol``. A NaN slack makes ``min_slack`` NaN, so the
+    report fails, and ``worst_vertex()`` names the first NaN key. ``info``
+    carries optional informational extras that are reported but never
+    asserted.
     """
 
     check: str
     tol: float
     passed: bool
     min_slack: float
-    slack: dict[str, float]
+    slack: Mapping[str, float]
     info: dict | None = None
 
     def __post_init__(self):
-        expected = min(self.slack.values()) if self.slack else float("inf")
-        if self.min_slack != expected or self.passed != (self.min_slack >= -self.tol):
+        if not isinstance(self.slack, SlackView):
+            view = SlackView(tuple(self.slack), list(self.slack.values()))
+            object.__setattr__(self, "slack", view)
+        expected = self.slack.first_min()
+        same = self.min_slack == expected or (math.isnan(self.min_slack) and math.isnan(expected))
+        if not same or self.passed != (self.min_slack >= -self.tol):
             raise ValueError("inconsistent certificate report")
 
     @classmethod
-    def from_slack(cls, check: str, slack: dict[str, float], tol: float, info=None):
-        min_slack = min(slack.values()) if slack else float("inf")
-        return cls(
-            check=check,
-            tol=float(tol),
-            passed=bool(min_slack >= -tol),
-            min_slack=float(min_slack),
-            slack=slack,
-            info=info,
-        )
+    def from_array(
+        cls, check: str, keys: tuple[str, ...], values: np.ndarray, tol: float, info=None,
+        *, index=None, ordered=False,
+    ) -> "CertificateReport":
+        """Build a report over the slack array ``values``; see :class:`SlackView`
+        for ``keys``, ``index`` and ``ordered``. The report keeps ``values``
+        and makes it read-only."""
+        slack = SlackView(keys, values, index=index, ordered=ordered)
+        min_slack = slack.first_min()
+        return cls(check, float(tol), bool(min_slack >= -tol), min_slack, slack, info)
+
+    @classmethod
+    def from_slack(cls, check: str, slack: Mapping[str, float], tol: float, info=None):
+        return cls.from_array(check, tuple(slack), list(slack.values()), tol, info)
 
     def worst_vertex(self) -> str | None:
-        if not self.slack:
-            return None
-        return min(self.slack, key=lambda v: (self.slack[v], v))
+        return self.slack.worst_key()
 
     def to_json_dict(self) -> dict:
         out = {
@@ -70,15 +155,13 @@ class CertificateReport:
             "slack": dict(self.slack),
         }
         if self.info is not None:
-            out["info"] = self.info
+            out["info"] = {
+                k: dict(v) if isinstance(v, SlackView) else v for k, v in self.info.items()
+            }
         return out
 
     def to_json(self) -> str:
         return json_dumps(self.to_json_dict())
-
-
-def _slack_dict(g: WeightedGraph, values: np.ndarray) -> dict[str, float]:
-    return {v: float(values[i]) for i, v in enumerate(g.vertices)}
 
 
 def _abs2(values: np.ndarray) -> np.ndarray:
@@ -195,7 +278,7 @@ def check_kato1(g: WeightedGraph, u: VertexFunction, tol: float = DEFAULT_TOL) -
     """
     values = require_same_domain(g, u)
     slack = _grad_sq_values(g, values) - _grad_sq_values(g, np.abs(values))
-    return CertificateReport.from_slack("kato1", _slack_dict(g, slack), tol)
+    return CertificateReport.from_array("kato1", g.vertices, slack, tol, ordered=True)
 
 
 def check_product_rule(
@@ -212,8 +295,8 @@ def check_product_rule(
     lap_u = _laplacian_values(g, values)
     middle = 2.0 * np.real(np.conj(values) * lap_u)
     residual = lap_usq - middle - _grad_sq_values(g, values)
-    return CertificateReport.from_slack(
-        "product_rule", _slack_dict(g, -np.abs(residual)), tol
+    return CertificateReport.from_array(
+        "product_rule", g.vertices, -np.abs(residual), tol, ordered=True
     )
 
 
@@ -234,6 +317,6 @@ def check_kato2(
     pos = np.maximum(values, 0.0)
     slack_pos = _laplacian_values(g, pos) - (values > 0.0).astype(np.float64) * lap_u
     return (
-        CertificateReport.from_slack("kato2_abs", _slack_dict(g, slack_abs), tol),
-        CertificateReport.from_slack("kato2_pos_part", _slack_dict(g, slack_pos), tol),
+        CertificateReport.from_array("kato2_abs", g.vertices, slack_abs, tol, ordered=True),
+        CertificateReport.from_array("kato2_pos_part", g.vertices, slack_pos, tol, ordered=True),
     )

@@ -4,18 +4,12 @@ Exit codes: 0 = success / all checks pass, 1 = a mathematical check failed
 or a solver did not converge, 2 = usage or input error. Every run emits a
 `<output>.manifest.json` beside its primary output recording the command,
 seed, input digest, configuration, version, and wall time.
-
-The environment variable GRAPHCALC_THREADS caps the number of worker
-threads used for independent check trials (default 1). Each trial draws
-from its own seeded stream, so results do not depend on scheduling.
 """
 
 import functools
 import hashlib
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import click
@@ -124,19 +118,6 @@ def _guard(fn):
     return wrapper
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GRAPHCALC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise BadParamsError(f"GRAPHCALC_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise BadParamsError(f"GRAPHCALC_THREADS must be >= 1, got {cap}")
-    return min(cap, os.cpu_count() or 1)
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="graphcalc")
 def main():
@@ -163,30 +144,31 @@ def cmd_gen(ctx, family, n, rows, cols, p, weight, seed, out):
     _emit_manifest(ctx, out, out, seed, {"family": family, "weight": weight}, started)
 
 
-def _run_trial(kind, g, seed, trial, tol, results):
+def _run_trial(kind, g, seed, trial, tol) -> tuple:
+    """One check trial on its own stream: (passed, min slack or outcome, vertex)."""
     rng = np.random.default_rng([seed, trial])
     if kind == "kato1":
         u = random_vertex_function(g, rng, complex_values=trial % 2 == 1, zero_prob=0.1)
         report = check_kato1(g, u, tol)
-        results[trial] = (report.passed, report.min_slack, report.worst_vertex())
+        return (report.passed, report.min_slack, report.worst_vertex())
     elif kind == "kato2":
         u = random_vertex_function(g, rng, zero_prob=0.1)
         rep_abs, rep_pos = check_kato2(g, u, tol)
         worst = rep_abs if rep_abs.min_slack <= rep_pos.min_slack else rep_pos
-        results[trial] = (rep_abs.passed and rep_pos.passed, worst.min_slack, worst.worst_vertex())
+        return (rep_abs.passed and rep_pos.passed, worst.min_slack, worst.worst_vertex())
     elif kind == "product":
         u = random_vertex_function(g, rng, complex_values=trial % 2 == 1, zero_prob=0.1)
         report = check_product_rule(g, u, tol)
-        results[trial] = (report.passed, report.min_slack, report.worst_vertex())
+        return (report.passed, report.min_slack, report.worst_vertex())
     elif kind == "gradient-estimate":
         u = random_vertex_function(g, rng, zero_prob=0.1)
         u = VertexFunction(g.vertices, np.abs(u.values))
         report = verify_gradient_estimate(g, u, tol)
-        results[trial] = (report.passed, report.min_slack, report.worst_vertex())
+        return (report.passed, report.min_slack, report.worst_vertex())
     elif kind == "max-principle":
         u = random_vertex_function(g, rng, zero_prob=0.1)
         outcome = check_strong_max_principle(g, u, tol)
-        results[trial] = (outcome.outcome is not MaxPrincipleOutcome.VIOLATION, outcome.outcome.value, outcome.vertex)
+        return (outcome.outcome is not MaxPrincipleOutcome.VIOLATION, outcome.outcome.value, outcome.vertex)
     else:  # pragma: no cover - guarded by CHECK_KINDS
         raise BadParamsError(f"unknown check kind {kind!r}")
 
@@ -226,20 +208,7 @@ def cmd_check(ctx, kind, graph_path, trials, seed, tol, p_exponent, bound, steps
         report_obj["pass"] = all_pass
         report_obj["search"] = search.to_json_dict()
     else:
-        results: dict[int, tuple] = {}
-        workers = _thread_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(
-                    pool.map(
-                        lambda t: _run_trial(kind, g, seed, t, tol, results),
-                        range(trials),
-                    )
-                )
-        else:
-            for t in range(trials):
-                _run_trial(kind, g, seed, t, tol, results)
-        ordered = [results[t] for t in range(trials)]
+        ordered = [_run_trial(kind, g, seed, t, tol) for t in range(trials)]
         all_pass = all(r[0] for r in ordered)
         report_obj["pass"] = all_pass
         if kind == "max-principle":

@@ -17,10 +17,10 @@ import scipy.sparse.linalg as spla
 from .calculus import (
     DEFAULT_TOL,
     CertificateReport,
+    SlackView,
     _combinatorial_laplacian,
     _grad_sq_values,
     _laplacian_values,
-    _slack_dict,
 )
 from .errors import (
     BadParamsError,
@@ -349,8 +349,8 @@ def verify_gl_bound(g: WeightedGraph, u: VertexFunction, tol: float = 1e-9) -> C
             f"residual {res:.3e} exceeds {tol:.3e}; the bound only applies to solutions"
         )
     slack = 1.0 - np.abs(values) + tol
-    return CertificateReport.from_slack(
-        "gl_bound", _slack_dict(g, slack), tol=0.0, info={"residual_sup": res, "solution_tol": tol}
+    return CertificateReport.from_array(
+        "gl_bound", g.vertices, slack, 0.0, {"residual_sup": res, "solution_tol": tol}, ordered=True
     )
 
 
@@ -371,7 +371,7 @@ def check_subsolution(
     qv = require_same_domain(g, Q.values)
     pos = np.maximum(values, 0.0)
     slack = _laplacian_values(g, pos) - qv * pos
-    return CertificateReport.from_slack("subsolution", _slack_dict(g, slack), tol)
+    return CertificateReport.from_array("subsolution", g.vertices, slack, tol, ordered=True)
 
 
 def verify_gradient_estimate(
@@ -399,20 +399,20 @@ def verify_gradient_estimate(
     gsq = _grad_sq_values(g, values)
     d = d_constant(g)
 
-    qualifying = (values > 0.0) & (lap >= 0.0)
-    slack: dict[str, float] = {}
-    second: dict[str, float] = {}
-    for i in np.flatnonzero(qualifying):
-        q = lap[i] / values[i]
-        usq = values[i] * values[i]
-        slack[g.vertices[i]] = float((d * (1.0 + q) ** 2 - 2.0 * q - 1.0) * usq - gsq[i])
-        second[g.vertices[i]] = float(d * q * q * usq - gsq[i])
+    idx = np.flatnonzero((values > 0.0) & (lap >= 0.0))
+    uq, gq = values[idx], gsq[idx]
+    q = lap[idx] / uq
+    usq = uq * uq
+    slack = (d * (1.0 + q) ** 2 - 2.0 * q - 1.0) * usq - gq
+    second = SlackView(g.vertices, d * q * q * usq - gq, index=idx, ordered=True)
     info = {
         "d_constant": d,
-        "second_bound_min_slack": min(second.values()) if second else float("inf"),
+        "second_bound_min_slack": second.first_min(),
         "second_bound_slack": second,
     }
-    return CertificateReport.from_slack("gradient_estimate", slack, tol, info=info)
+    return CertificateReport.from_array(
+        "gradient_estimate", g.vertices, slack, tol, info, index=idx, ordered=True
+    )
 
 
 # -- Liouville machinery ---------------------------------------------------------
@@ -450,8 +450,8 @@ def check_liouville_premises(
         "upper_bound_min": float(np.min(s_upper)),
         "supersolution_min": float(np.min(s_super)),
     }
-    return CertificateReport.from_slack(
-        "liouville_premises", _slack_dict(g, combined), tol, info=info
+    return CertificateReport.from_array(
+        "liouville_premises", g.vertices, combined, tol, info, ordered=True
     )
 
 

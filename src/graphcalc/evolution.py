@@ -62,12 +62,12 @@ class EvolutionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", EvolutionScheme(self.scheme))
-        if self.dt <= 0:
-            raise BadParamsError(f"dt must be positive, got {self.dt!r}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise BadParamsError(f"dt must be positive and finite, got {self.dt!r}")
         if self.steps < 1:
             raise BadParamsError(f"steps must be >= 1, got {self.steps!r}")
-        if self.solve_tol <= 0:
-            raise BadParamsError(f"solve_tol must be positive, got {self.solve_tol!r}")
+        if not (np.isfinite(self.solve_tol) and self.solve_tol > 0):
+            raise BadParamsError(f"solve_tol must be positive and finite, got {self.solve_tol!r}")
         if self.stride < 1:
             raise BadParamsError(f"stride must be >= 1, got {self.stride!r}")
 
@@ -320,25 +320,26 @@ def check_parabolic_max(diag: MaxPrincipleDiag, tol: float = ENVELOPE_TOL) -> Ce
     falls by less than ``tol`` has still fallen: reaching the initial max
     means equalling or exceeding it, not coming within ``tol`` of it.
     """
-    maxes = diag.max_values
-    mins = diag.min_values
+    maxes = np.asarray(diag.max_values, dtype=np.float64)
+    mins = np.asarray(diag.min_values, dtype=np.float64)
     n_steps = len(maxes) - 1
     width = max(1, len(str(n_steps)))
-    slack: dict[str, float] = {}
-    for n in range(n_steps):
-        slack[f"max[{n + 1:0{width}d}]"] = maxes[n] - maxes[n + 1]
-        slack[f"min[{n + 1:0{width}d}]"] = mins[n + 1] - mins[n]
+    labels = [f"{n:0{width}d}" for n in range(1, n_steps + 1)]
+    keys = [f"{kind}[{label}]" for label in labels for kind in ("max", "min")]
+    # maxes[n] - maxes[n + 1], not -np.diff(maxes), which turns 0.0 into -0.0
+    slack = np.column_stack((maxes[:-1] - maxes[1:], np.diff(mins))).ravel()
 
+    spread = maxes[1:] - mins[1:]
+    hits = np.flatnonzero((maxes[1:] >= maxes[0]) & (spread > tol))
     interior_violation = None
-    for n in range(1, n_steps + 1):
-        non_constant = (maxes[n] - mins[n]) > tol
-        if maxes[n] >= maxes[0] and non_constant:
-            interior_violation = n
-            slack[f"interior_sup[{n:0{width}d}]"] = -(maxes[n] - mins[n])
-            break
+    if len(hits):
+        interior_violation = int(hits[0]) + 1
+        keys.append(f"interior_sup[{labels[hits[0]]}]")
+        slack = np.append(slack, -spread[hits[0]])
 
-    return CertificateReport.from_slack(
+    return CertificateReport.from_array(
         "parabolic_max",
+        tuple(keys),
         slack,
         tol,
         info={

@@ -5,10 +5,13 @@ That order fixes vertex indexing, neighbor summation order, and file layout
 everywhere else in the package, so repeated runs are bitwise reproducible.
 """
 
+import math
+import sys
 from collections.abc import Callable, Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BadParamsError,
@@ -29,7 +32,8 @@ GNP_RETRY_BUDGET = 100
 
 
 def _validate_vertex_id(v) -> str:
-    if not isinstance(v, str) or not v or any(c.isspace() for c in v):
+    # str.split() splits on exactly the characters str.isspace() accepts
+    if not isinstance(v, str) or v.split() != [v]:
         raise BadParamsError(
             f"vertex ids must be non-empty strings without whitespace, got {v!r}"
         )
@@ -63,14 +67,16 @@ class WeightedGraph:
 
     def __init__(self, edge_records: Iterable[tuple[str, str, float]]):
         seen: dict[tuple[str, str], int] = {}
+        valid_ids: set[str] = set()
         normalized: list[EdgeRecord] = []
         for record_no, (x, y, mu) in enumerate(edge_records):
-            x = _validate_vertex_id(x)
-            y = _validate_vertex_id(y)
+            for v in (x, y):
+                if not (isinstance(v, str) and v in valid_ids):
+                    valid_ids.add(_validate_vertex_id(v))
             if x == y:
                 raise SelfLoopError(f"record {record_no}: self-loop at vertex {x!r}")
             mu = float(mu)
-            if not np.isfinite(mu) or mu <= 0.0:
+            if not math.isfinite(mu) or mu <= 0.0:
                 raise NonPositiveWeightError(
                     f"record {record_no}: edge ({x!r}, {y!r}) has non-positive weight {mu!r}"
                 )
@@ -84,8 +90,9 @@ class WeightedGraph:
         if not normalized:
             raise BadParamsError("a graph needs at least one edge")
 
-        normalized.sort(key=lambda e: (e[0], e[1]))
-        vertices = tuple(sorted({v for x, y, _ in normalized for v in (x, y)}))
+        # (x, y) pairs are unique, so the weights never take part in the order
+        normalized.sort()
+        vertices = tuple(sorted(valid_ids))
         index = {v: i for i, v in enumerate(vertices)}
         n = len(vertices)
 
@@ -134,19 +141,9 @@ class WeightedGraph:
 
     @staticmethod
     def _check_connected(vertices, weights) -> None:
-        n = len(vertices)
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        indptr = weights.indptr
-        while stack:
-            i = stack.pop()
-            for j in weights.indices[indptr[i] : indptr[i + 1]]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        if not seen.all():
-            missing = [vertices[i] for i in np.flatnonzero(~seen)]
+        n_components, labels = connected_components(weights, directed=False)
+        if n_components > 1:
+            missing = [vertices[i] for i in np.flatnonzero(labels != labels[0])]
             raise DisconnectedError(
                 f"graph is disconnected; unreachable component contains {missing[:8]!r}"
             )
@@ -354,14 +351,14 @@ def generate(
         if rows is None or cols is None or rows < 2 or cols < 2:
             raise BadParamsError("grid2d requires rows >= 2 and cols >= 2")
         wr, wc = len(str(rows - 1)), len(str(cols - 1))
-        name = lambda i, j: f"r{i:0{wr}d}c{j:0{wc}d}"
+        name = [[f"r{i:0{wr}d}c{j:0{wc}d}" for j in range(cols)] for i in range(rows)]
         pairs = []
         for i in range(rows):
             for j in range(cols):
                 if j + 1 < cols:
-                    pairs.append((name(i, j), name(i, j + 1)))
+                    pairs.append((name[i][j], name[i][j + 1]))
                 if i + 1 < rows:
-                    pairs.append((name(i, j), name(i + 1, j)))
+                    pairs.append((name[i][j], name[i + 1][j]))
         return build_graph(_apply_weights(pairs, weight, weight_sampler, rng))
 
     if n is None or n < 2:
@@ -381,14 +378,16 @@ def generate(
     elif family == "gnp":
         if p is None or not (0.0 < p <= 1.0):
             raise BadParamsError(f"gnp requires 0 < p <= 1, got {p!r}")
-        all_pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+        # row-major upper triangle: the pair order of the nested loop i < j
+        rows_i, cols_j = np.triu_indices(n, 1)
         for _ in range(GNP_RETRY_BUDGET):
-            mask = rng.random(len(all_pairs)) < p
-            pairs = [pq for pq, keep in zip(all_pairs, mask) if keep]
+            mask = rng.random(len(rows_i)) < p
+            kept_i, kept_j = rows_i[mask], cols_j[mask]
             # vertices are derived from edge records, so an isolated vertex
             # shows up as a too-small vertex set, not a Disconnected error
-            if len({v for pq in pairs for v in pq}) < n:
+            if len(np.union1d(kept_i, kept_j)) < n:
                 continue
+            pairs = [(names[i], names[j]) for i, j in zip(kept_i.tolist(), kept_j.tolist())]
             try:
                 return build_graph(_apply_weights(pairs, weight, weight_sampler, rng))
             except DisconnectedError:
@@ -462,7 +461,8 @@ def read_edge_list(path) -> WeightedGraph:
                 raise FileFormatError(
                     f"{path}:{line_no}: weight {tokens[2]!r} is not a number"
                 ) from None
-            records.append((tokens[0], tokens[1], mu))
+            # one string object per vertex id, shared by every record naming it
+            records.append((sys.intern(tokens[0]), sys.intern(tokens[1]), mu))
     if not records:
         raise FileFormatError(f"{path}: no edge records found")
     return build_graph(records)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -345,6 +346,112 @@ def test_report_rejects_inconsistent_construction():
         gc.CertificateReport(
             check="bogus", tol=1e-10, passed=True, min_slack=0.5, slack={"a": 1.0}
         )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "values, first_nan",
+    [([1.0, 1.0, 1e200, 1.0, 1.0], "v1"), ([1e200, 1.0, 1.0, 1.0, 1.0], "v0")],
+)
+def test_nan_slack_fails_the_report(values, first_nan):
+    # |grad u|^2 overflows to inf on both sides of kato1 and inf - inf = NaN;
+    # a NaN slack must fail wherever it sits, not be skipped or rejected
+    g = gc.generate("path", n=5)
+    u = gc.VertexFunction(g.vertices, np.array(values))
+    for report in (gc.check_kato1(g, u), gc.check_product_rule(g, u)):
+        assert any(np.isnan(s) for s in report.slack.values())
+        assert not report.passed
+        assert np.isnan(report.min_slack)
+        assert report.worst_vertex() == first_nan
+
+
+def test_report_accepts_consistent_nan():
+    report = gc.CertificateReport(
+        check="nan", tol=1e-10, passed=False, min_slack=float("nan"), slack={"a": 1.0, "b": float("nan")}
+    )
+    assert report.worst_vertex() == "b"
+
+
+def test_report_min_slack_is_first_minimal_entry():
+    # np.min([0.0, -0.0]) is -0.0, which would be written as -0
+    report = gc.CertificateReport.from_slack("zeros", {"a": 0.0, "b": -0.0}, tol=0.0)
+    assert report.min_slack == 0.0 and not np.signbit(report.min_slack)
+    assert report.passed
+    assert '"min_slack": 0,' in report.to_json()
+    assert report.worst_vertex() == "a"
+
+
+def test_worst_vertex_breaks_ties_by_smallest_key():
+    # parabolic keys are not sorted: max[1], min[1], max[2], min[2], interior_sup[2]
+    diag = gc.MaxPrincipleDiag(
+        max_values=(1.0, 1.0, 1.0),
+        min_values=(0.0, 0.0, 0.0),
+        tol=1e-12,
+        monotone=True,
+        first_violation_step=None,
+    )
+    report = gc.check_parabolic_max(diag, tol=2.0)
+    assert list(report.slack) == ["max[1]", "min[1]", "max[2]", "min[2]"]
+    assert report.worst_vertex() == "max[1]"
+    report = gc.CertificateReport.from_slack("ties", {"c": -1.0, "b": 2.0, "a": -1.0}, tol=0.0)
+    assert report.worst_vertex() == "a"
+    # the gradient estimate covers a subset: u(v0) = 0 and lap u(v1) < 0
+    # leave out v0 and v1, and v2..v4 tie at slack d - 1 = 1
+    g = gc.generate("path", n=5)
+    u = gc.VertexFunction(g.vertices, np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
+    report = gc.verify_gradient_estimate(g, u)
+    assert list(report.slack) == ["v2", "v3", "v4"]
+    assert list(report.info["second_bound_slack"]) == ["v2", "v3", "v4"]
+    assert report.min_slack == 1.0
+    assert report.worst_vertex() == "v2"
+
+
+def _producer_reports():
+    g = gc.generate("gnp", n=9, p=0.5, seed=2, weight_sampler=lambda r, m: r.uniform(0.2, 3.0, m))
+    rng = np.random.default_rng(17)
+    u = gc.random_vertex_function(g, rng, zero_prob=0.2)
+    uc = gc.random_vertex_function(g, rng, complex_values=True, zero_prob=0.2)
+    Q = gc.Potential(gc.VertexFunction(g.vertices, rng.uniform(0.0, 2.0, g.n_vertices)))
+    nonneg = gc.VertexFunction(g.vertices, np.abs(u.values))
+    _, _, diag = gc.evolve_heat(g, u, gc.EvolutionConfig(dt=0.2, steps=12, scheme="heat_implicit"))
+    kato2_abs, kato2_pos = gc.check_kato2(g, u)
+    return {
+        "kato1": gc.check_kato1(g, u),
+        "kato1_complex": gc.check_kato1(g, uc),
+        "kato2_abs": kato2_abs,
+        "kato2_pos_part": kato2_pos,
+        "product_rule": gc.check_product_rule(g, uc),
+        "gl_bound": gc.verify_gl_bound(g, gc.VertexFunction.constant(g, np.exp(0.3j))),
+        "subsolution": gc.check_subsolution(g, u, Q),
+        "gradient_estimate": gc.verify_gradient_estimate(g, nonneg),
+        "liouville_premises": gc.check_liouville_premises(g, nonneg, 2.0, 1.0),
+        "parabolic_max": gc.check_parabolic_max(diag),
+    }
+
+
+# SHA-256 of each report's to_json(), recorded with the dict-based reports
+# that built {vertex: float(slack)} per check
+PRODUCER_REPORT_SHA256 = {
+    "kato1": "37aa1acc5558841fec3c4e6ee899c4d43e78b6d07878ea2c2cdc5314fafa924f",
+    "kato1_complex": "eb3f23a46b0f13f9b148e8ebf389b74b0cdd618d4b144fe783b56609077d2e1b",
+    "kato2_abs": "b8c35ca35f9dbd5f6e45a17e28825e0fd47e09ae4dc493c336ecdac91a072a92",
+    "kato2_pos_part": "0a191ea0644143220a2de24371c93642090243a2478e4190507d6157cda034d7",
+    "product_rule": "a46efe41ef5248d703ac88eabcfa78aa373b6e3334ec8136199c6cfbebc4c2ba",
+    "gl_bound": "16383da863f168ba80faf7864f6040a105f1356d40fffeea9c93f2abd0833f0c",
+    "subsolution": "08f489b49fcfe929a3feb94c7bc6af32724d3eb4ff0de8bd4a0314bccecde56a",
+    "gradient_estimate": "0e7232c0eec99be1429cd180e8412c37acd0aefc5136035017183984b7eadd40",
+    "liouville_premises": "123add5d9b26a2fcb270654f26be068ca18d09c10c81f179a8d5d44a8044b038",
+    "parabolic_max": "9deb4de0f0e3e8f24b5e17ac2d03ee313e3896fb1cdd863ad963f3dceb34e509",
+}
+
+
+def test_producer_reports_match_recorded_dicts():
+    for name, report in _producer_reports().items():
+        text = report.to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == PRODUCER_REPORT_SHA256[name], name
+        assert report.slack == json.loads(text)["slack"], name
+        assert report.min_slack == min(report.slack.values()), name
 
 
 def test_domain_mismatch_raises(p2, p3):

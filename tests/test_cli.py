@@ -140,20 +140,31 @@ def test_check_deterministic_output_bytes(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_check_thread_env_same_output(runner, tmp_path, monkeypatch):
-    _, gpath = _write_graph(tmp_path, "cycle", n=6)
-    out1, out2 = tmp_path / "serial.json", tmp_path / "threaded.json"
-    _invoke(runner, ["check", "kato2", "--graph", str(gpath), "--trials", "40", "--seed", "3", "-o", str(out1)])
-    monkeypatch.setenv("GRAPHCALC_THREADS", "4")
-    _invoke(runner, ["check", "kato2", "--graph", str(gpath), "--trials", "40", "--seed", "3", "-o", str(out2)])
-    assert out1.read_bytes() == out2.read_bytes()
+# SHA-256 of the check report files on a weighted 12x12 grid (20 trials,
+# seed 4), recorded with the dict-based certificate reports
+CHECK_REPORT_SHA256 = {
+    "kato1": "f41dcd55dd0c4d2f9b3e68bb3355148369294af84f5fe16692a7c0b245579773",
+    "kato2": "e29f061bf212be585a923834f505414dfab5f308af50482bf48f3a7d5459d613",
+    "product": "430afcef232bc36bae7a6e6d8b8d3fb5e5e7b2f75fa290adafc7e3b571f61379",
+    "gradient-estimate": "e347cc0b1c94c61638135bd9bb343effe67761bcbfb88a3a7077228c02d64762",
+}
 
 
-def test_check_bad_thread_env_exit_2(runner, tmp_path, monkeypatch):
-    _, gpath = _write_graph(tmp_path, "cycle", n=6)
-    monkeypatch.setenv("GRAPHCALC_THREADS", "many")
-    result = runner.invoke(main, ["check", "kato1", "--graph", str(gpath), "--trials", "5"])
-    assert result.exit_code == 2
+@pytest.mark.parametrize("kind", sorted(CHECK_REPORT_SHA256))
+def test_check_report_bytes_match_recorded(runner, tmp_path, monkeypatch, kind):
+    g = gc.generate(
+        "grid2d", rows=12, cols=12, seed=5, weight_sampler=lambda r, m: r.uniform(0.2, 3.0, m)
+    )
+    gc.write_edge_list(g, tmp_path / "grid.edges")
+    # the report records the graph path, so run from its directory
+    monkeypatch.chdir(tmp_path)
+    result = _invoke(
+        runner,
+        ["check", kind, "--graph", "grid.edges", "--trials", "20", "--seed", "4", "-o", "report.json"],
+    )
+    assert result.exit_code == 0, result.output
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == CHECK_REPORT_SHA256[kind]
 
 
 # -- solve --------------------------------------------------------------------------

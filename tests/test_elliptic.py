@@ -284,6 +284,31 @@ def test_gradient_estimate_second_bound_can_fail(p3):
     assert report.info["second_bound_slack"]["b"] == pytest.approx(-1.0, abs=1e-12)
 
 
+def _gradient_estimate_loop_ref(g, values):
+    """The per-vertex loop the array form replaced: {vertex: slack}, {vertex: second}."""
+    lap = gc.laplacian(g, gc.VertexFunction(g.vertices, values)).values
+    gsq = gc.grad_sq(g, gc.VertexFunction(g.vertices, values)).values
+    d = gc.d_constant(g)
+    slack, second = {}, {}
+    for i in np.flatnonzero((values > 0.0) & (lap >= 0.0)):
+        q = lap[i] / values[i]
+        usq = values[i] * values[i]
+        slack[g.vertices[i]] = float((d * (1.0 + q) ** 2 - 2.0 * q - 1.0) * usq - gsq[i])
+        second[g.vertices[i]] = float(d * q * q * usq - gsq[i])
+    return slack, second
+
+
+def test_gradient_estimate_matches_loop_reference_exactly():
+    rng = np.random.default_rng(23)
+    for name, g in family_corpus(3):
+        u = np.abs(gc.random_vertex_function(g, rng, zero_prob=0.2).values)
+        report = gc.verify_gradient_estimate(g, gc.VertexFunction(g.vertices, u))
+        slack, second = _gradient_estimate_loop_ref(g, u)
+        assert list(report.slack.items()) == list(slack.items()), name
+        assert list(report.info["second_bound_slack"].items()) == list(second.items()), name
+        assert report.info["second_bound_min_slack"] == min(second.values(), default=float("inf"))
+
+
 def test_gradient_estimate_rejects_negative(p3):
     u = gc.VertexFunction.from_dict(p3, {"a": 1.0, "b": -0.5, "c": 1.0})
     with pytest.raises(gc.NegativeInputError):

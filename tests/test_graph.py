@@ -57,6 +57,29 @@ def test_bad_vertex_ids_rejected():
         gc.build_graph([("a b", "c", 1.0)])
     with pytest.raises(gc.BadParamsError):
         gc.build_graph([("", "c", 1.0)])
+    for bad in ("c\td", "c\u2003d", " c", "c\n", None, 3, ["c"]):
+        with pytest.raises(gc.BadParamsError, match="non-empty strings without whitespace"):
+            gc.build_graph([("a", "b", 1.0), ("b", bad, 1.0)])
+
+
+def test_first_bad_record_reports_its_error():
+    # ids already accepted are not validated again, but the first bad record
+    # still decides the error class, message and record number
+    records = [("a", "b", 1.0), ("b", "c", 1.0), ("c", "c", 1.0), ("c d", "a", 1.0)]
+    with pytest.raises(gc.SelfLoopError, match=r"^record 2: self-loop at vertex 'c'$"):
+        gc.build_graph(records)
+    records = [("a", "b", 1.0), ("b", "c", 1.0), ("c d", "a", 1.0), ("c", "c", 1.0)]
+    with pytest.raises(gc.BadParamsError, match="got 'c d'"):
+        gc.build_graph(records)
+    records = [("a", "b", 1.0), ("b", "c", 1.0), ("c", "b", 2.0)]
+    with pytest.raises(gc.DuplicateEdgeError, match=r"^record 2: .* already seen at record 1$"):
+        gc.build_graph(records)
+
+
+def test_disconnected_message_lists_unreachable_vertices():
+    records = [("c", "d", 1.0), ("a", "b", 1.0), ("e", "f", 1.0), ("b", "z", 1.0)]
+    with pytest.raises(gc.DisconnectedError, match=r"contains \['c', 'd', 'e', 'f'\]$"):
+        gc.build_graph(records)
 
 
 def test_graph_is_immutable(p3):
@@ -106,6 +129,33 @@ def test_gnp_deterministic_for_seed():
     assert g1 == g2
     g3 = gc.generate("gnp", n=20, p=0.3, seed=43)
     assert g1 != g3
+
+
+def _gnp_loop_ref(n, p, seed):
+    """The nested-loop pair list the vectorized gnp draw replaced."""
+    rng = np.random.default_rng(seed)
+    names = [f"v{i:0{len(str(n - 1))}d}" for i in range(n)]
+    all_pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    for _ in range(gc.graph.GNP_RETRY_BUDGET):
+        mask = rng.random(len(all_pairs)) < p
+        pairs = [pq for pq, keep in zip(all_pairs, mask) if keep]
+        if len({v for pq in pairs for v in pq}) < n:
+            continue
+        weights = rng.uniform(0.5, 2.0, len(pairs))
+        try:
+            return gc.build_graph([(x, y, float(w)) for (x, y), w in zip(pairs, weights)])
+        except gc.DisconnectedError:
+            continue
+    return None
+
+
+@pytest.mark.parametrize("n, p", [(12, 0.2), (30, 0.12), (40, 0.5)])
+def test_gnp_matches_loop_reference(n, p):
+    sampler = lambda r, m: r.uniform(0.5, 2.0, m)
+    for seed in range(4):
+        ref = _gnp_loop_ref(n, p, seed)
+        assert ref is not None
+        assert gc.generate("gnp", n=n, p=p, seed=seed, weight_sampler=sampler) == ref
 
 
 def test_gnp_disconnected_draw_errors():
