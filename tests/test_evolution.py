@@ -3,6 +3,7 @@ import pytest
 
 import graphcalc as gc
 from conftest import family_corpus
+from graphcalc.evolution import _heat_stepper
 from oracles import cn_final_ref, heat_final_ref
 
 
@@ -283,15 +284,21 @@ def test_large_grid_flows_keep_tolerances_across_n_2048():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("dt", [1e308])
+@pytest.mark.parametrize("dt", [1e308, float("inf")])
 def test_degenerate_step_matrix_raises_solve_failure(k3, dt):
-    # a huge finite dt overflows into a non-finite solve (an infinite one is
-    # rejected by EvolutionConfig)
+    # an infinite dt makes the step matrix exactly singular for the LU; a
+    # huge finite one overflows into a non-finite solve. EvolutionConfig
+    # rejects an infinite dt, so that case drives the steppers directly.
     u0 = gc.VertexFunction(k3.vertices, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(gc.LinearSolveFailureError):
-        gc.evolve_heat(k3, u0, _cfg("heat_implicit", dt=dt, steps=1))
+        _heat_stepper(k3, dt, 1e-12)(u0.values.copy())
     with pytest.raises(gc.LinearSolveFailureError):
-        gc.schrodinger_evolve(k3, u0, _cfg("schrodinger_cn", dt=dt, steps=1))
+        gc.schrodinger_step(k3, u0, dt)
+    if np.isfinite(dt):
+        with pytest.raises(gc.LinearSolveFailureError):
+            gc.evolve_heat(k3, u0, _cfg("heat_implicit", dt=dt, steps=1))
+        with pytest.raises(gc.LinearSolveFailureError):
+            gc.schrodinger_evolve(k3, u0, _cfg("schrodinger_cn", dt=dt, steps=1))
 
 
 def test_gp_phase_step_preserves_modulus(k3):
