@@ -17,7 +17,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ComplexNotAllowedError
 from .graph import VertexFunction, WeightedGraph, require_same_domain
@@ -181,8 +180,10 @@ def _grad_sq_values(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
     return np.add.reduceat(terms, g._row_ptr[:-1])
 
 
-def _combinatorial_laplacian(g: WeightedGraph) -> sp.csr_matrix:
+def _combinatorial_laplacian(g: WeightedGraph) -> "scipy.sparse.csr_matrix":
     """L = D - W, the symmetric form with lap = -D^{-1} L."""
+    import scipy.sparse as sp
+
     return (sp.diags(g.degrees) - g.weight_matrix).tocsr()
 
 

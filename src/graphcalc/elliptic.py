@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .calculus import (
     DEFAULT_TOL,
@@ -139,6 +137,9 @@ def solve_linear_schrodinger(
     S = D - W + D Q, in complex arithmetic when ``f`` or the Dirichlet data
     is complex.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     fv = require_same_domain(g, f)
     qv = require_same_domain(g, Q.values)
     n = g.n_vertices
@@ -199,7 +200,7 @@ def _gl_residual(g: WeightedGraph, v: np.ndarray) -> np.ndarray:
     return _laplacian_values(g, v) + v * (1.0 - v * v)
 
 
-def _gl_newton_step(P: sp.csr_matrix, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _gl_newton_step(P: "scipy.sparse.csr_matrix", v: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve the linearized system J delta = -r by sparse LU.
 
     ``P`` is the random-walk matrix D^{-1} W, so lap = P - I and the
@@ -212,6 +213,9 @@ def _gl_newton_step(P: sp.csr_matrix, v: np.ndarray, r: np.ndarray) -> np.ndarra
     Raises LinAlgError when SuperLU meets an exactly zero pivot or the step
     is not finite, which sends the caller to its fixed-point fallback.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if np.iscomplexobj(v):
         a, b = v.real, v.imag
         cross = sp.diags(-2.0 * a * b)
@@ -255,6 +259,8 @@ def solve_ginzburg_landau(
     Every state update counts toward ``max_iters``; the report carries
     ``converged=False`` rather than raising when the budget runs out.
     """
+    import scipy.sparse as sp
+
     cfg = config or SolverConfig()
     v = require_same_domain(g, init).copy()
     max_backtracks = 12
@@ -780,6 +786,9 @@ def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[Spect
     product. The smallest eigenvalue of a connected graph is 0 with a
     constant eigenvector.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = g.n_vertices
     if not (1 <= k <= n):
         raise BadParamsError(f"need 1 <= k <= {n}, got k={k!r}")

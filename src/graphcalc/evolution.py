@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .calculus import (
     CertificateReport,
@@ -155,7 +153,9 @@ class _Factorized:
     100 * solve_tol relative to the right-hand side.
     """
 
-    def __init__(self, matrix: sp.spmatrix, solve_tol: float):
+    def __init__(self, matrix: "scipy.sparse.spmatrix", solve_tol: float):
+        import scipy.sparse.linalg as spla
+
         self._matrix = matrix.tocsr()
         self._solve_tol = solve_tol
         try:
@@ -182,6 +182,8 @@ def _heat_stepper(g: WeightedGraph, dt: float, solve_tol: float):
     constant states exactly stationary (the right-hand side vanishes
     identically instead of up to round-off).
     """
+    import scipy.sparse as sp
+
     d = sp.diags(g.degrees)
     solver = _Factorized((1.0 + dt) * d - dt * g.weight_matrix, solve_tol)
 
@@ -198,6 +200,8 @@ def _cayley_stepper(g: WeightedGraph, dt: float, solve_tol: float):
     (D + i dt L / 2) delta = i dt D lap(u), u <- u + delta; functions in the
     kernel of lap are bitwise fixed points.
     """
+    import scipy.sparse as sp
+
     solver = _Factorized(sp.diags(g.degrees) + 0.5j * dt * _combinatorial_laplacian(g), solve_tol)
 
     def step(v: np.ndarray) -> np.ndarray:

@@ -10,8 +10,6 @@ import sys
 from collections.abc import Callable, Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BadParamsError,
@@ -54,7 +52,7 @@ class WeightedGraph:
         "_index",
         "_edges",
         "_degrees",
-        "_weights",
+        "_weight_matrix",
         "_ent_rows",
         "_ent_cols",
         "_ent_coef",
@@ -100,29 +98,33 @@ class WeightedGraph:
         yi = np.fromiter((index[y] for _, y, _ in normalized), dtype=np.int64)
         w = np.fromiter((mu for _, _, mu in normalized), dtype=np.float64)
 
-        weights = sp.coo_matrix(
-            (np.concatenate([w, w]), (np.concatenate([xi, yi]), np.concatenate([yi, xi]))),
-            shape=(n, n),
-        ).tocsr()
-        weights.sort_indices()
+        # Each row holds its lower neighbours (edges (x, r), ascending in x
+        # because ``normalized`` is sorted) before its upper ones (edges
+        # (r, y), ascending in y); a stable sort by row keeps both runs, so
+        # every row's columns come out ascending.
+        ent_rows = np.concatenate([yi, xi])
+        order = np.argsort(ent_rows, kind="stable")
+        rows = ent_rows[order]
+        cols = np.concatenate([xi, yi])[order]
+        data = np.concatenate([w, w])[order]
+        row_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
 
         # Degrees accumulate per row via reduceat in ascending neighbor
         # order; recomputing with the same reduction matches bitwise.
-        degrees = np.add.reduceat(weights.data, weights.indptr[:-1])
-        self._check_connected(vertices, weights)
-
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(weights.indptr))
+        degrees = np.add.reduceat(data, row_ptr[:-1])
+        self._check_connected(vertices, xi, yi)
 
         self._vertices = vertices
         self._index = index
         self._edges = tuple(normalized)
         self._degrees = degrees
-        self._weights = weights
+        self._weight_matrix = None
         self._ent_rows = rows
-        self._ent_cols = weights.indices.astype(np.int64)
-        self._ent_coef = weights.data / degrees[rows]
-        self._ent_w = weights.data
-        self._row_ptr = weights.indptr
+        self._ent_cols = cols
+        self._ent_coef = data / degrees[rows]
+        self._ent_w = data
+        self._row_ptr = row_ptr
         self._edge_xi = xi
         self._edge_yi = yi
         self._edge_w = w
@@ -132,20 +134,35 @@ class WeightedGraph:
             self._ent_cols,
             self._ent_coef,
             self._ent_w,
+            self._row_ptr,
             self._edge_xi,
             self._edge_yi,
             self._edge_w,
         ):
             arr.setflags(write=False)
-        weights.data.setflags(write=False)
 
     @staticmethod
-    def _check_connected(vertices, weights) -> None:
-        n_components, labels = connected_components(weights, directed=False)
-        if n_components > 1:
-            missing = [vertices[i] for i in np.flatnonzero(labels != labels[0])]
+    def _check_connected(vertices, xi, yi) -> None:
+        # Hook and shortcut: every root hooks onto the smallest root across
+        # its edges, then pointer jumping flattens the trees to depth one.
+        # root[i] <= i throughout, so vertex 0 is the root of its component.
+        root = np.arange(len(vertices))
+        while True:
+            rx, ry = root[xi], root[yi]
+            differ = rx != ry
+            if not differ.any():
+                break
+            rx, ry = rx[differ], ry[differ]
+            np.minimum.at(root, np.maximum(rx, ry), np.minimum(rx, ry))
+            while True:
+                jumped = root[root]
+                if np.array_equal(jumped, root):
+                    break
+                root = jumped
+        if root.any():
+            missing = [vertices[i] for i in np.flatnonzero(root)[:8]]
             raise DisconnectedError(
-                f"graph is disconnected; unreachable component contains {missing[:8]!r}"
+                f"graph is disconnected; unreachable component contains {missing!r}"
             )
 
     # -- basic accessors ---------------------------------------------------
@@ -173,9 +190,22 @@ class WeightedGraph:
         return self._degrees
 
     @property
-    def weight_matrix(self) -> sp.csr_matrix:
-        """Symmetric CSR weight matrix aligned with ``vertices`` (do not mutate)."""
-        return self._weights
+    def weight_matrix(self) -> "scipy.sparse.csr_matrix":
+        """Symmetric CSR weight matrix aligned with ``vertices``.
+
+        Built on first access (this is where scipy is imported) and cached;
+        its ``data``, ``indices`` and ``indptr`` arrays are read-only.
+        """
+        if self._weight_matrix is None:
+            import scipy.sparse as sp
+
+            n = len(self._vertices)
+            matrix = sp.csr_matrix((self._ent_w, self._ent_cols, self._row_ptr), shape=(n, n))
+            # scipy may copy the int64 index arrays down to int32
+            for arr in (matrix.data, matrix.indices, matrix.indptr):
+                arr.setflags(write=False)
+            self._weight_matrix = matrix
+        return self._weight_matrix
 
     def index_of(self, vertex: str) -> int:
         try:
@@ -188,12 +218,15 @@ class WeightedGraph:
 
     def neighbors(self, vertex: str) -> tuple[str, ...]:
         i = self.index_of(vertex)
-        cols = self._weights.indices[self._row_ptr[i] : self._row_ptr[i + 1]]
+        cols = self._ent_cols[self._row_ptr[i] : self._row_ptr[i + 1]]
         return tuple(self._vertices[j] for j in cols)
 
     def dense_transition(self) -> np.ndarray:
         """Dense random-walk matrix P with P[x, y] = mu_xy / d_x."""
-        return self._weights.toarray() / self._degrees[:, None]
+        n = len(self._vertices)
+        p = np.zeros((n, n))
+        p[self._ent_rows, self._ent_cols] = self._ent_coef
+        return p
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -226,7 +259,7 @@ class VertexFunction:
     NaN and infinite entries are rejected.
     """
 
-    __slots__ = ("_vertices", "_values")
+    __slots__ = ("_vertices", "_values", "_index")
 
     def __init__(self, vertices: tuple[str, ...], values: np.ndarray):
         values = np.asarray(values)
@@ -246,6 +279,8 @@ class VertexFunction:
         values.setflags(write=False)
         self._vertices = tuple(vertices)
         self._values = values
+        # vertex -> position, built on the first lookup
+        self._index = None
 
     @classmethod
     def from_array(cls, graph: WeightedGraph, values) -> "VertexFunction":
@@ -283,9 +318,11 @@ class VertexFunction:
         return self._values.dtype.kind == "c"
 
     def __getitem__(self, vertex: str):
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self._vertices)}
         try:
-            i = self._vertices.index(vertex)
-        except ValueError:
+            i = self._index[vertex]
+        except (KeyError, TypeError):  # TypeError: an unhashable key
             raise DomainMismatchError(f"vertex {vertex!r} not in function domain") from None
         return self._values[i].item()
 

@@ -7,6 +7,8 @@ package's CSR fast paths, so the two sides can disagree when one is wrong.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 
 def adjacency(g):
@@ -18,6 +20,47 @@ def adjacency(g):
     for v in adj:
         adj[v].sort()
     return adj
+
+
+def construction_ref(records):
+    """A graph's CSR arrays, degrees and connectivity verdict, assembled
+    from raw (x, y, mu) records with scipy.sparse.
+
+    This is how the graph was built before construction moved to numpy:
+    a symmetric COO matrix converted to CSR with sorted indices, degrees
+    reduced over each row in ascending neighbor order, and
+    ``connected_components`` for connectivity. Returns a dict of arrays and
+    the CSR ``weights`` matrix, with ``disconnected`` set to the expected
+    DisconnectedError message, or None for a connected graph.
+    """
+    vertices = sorted({v for x, y, _ in records for v in (x, y)})
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    xi = np.array([index[x] for x, _, _ in records], dtype=np.int64)
+    yi = np.array([index[y] for _, y, _ in records], dtype=np.int64)
+    w = np.array([mu for _, _, mu in records], dtype=np.float64)
+    weights = scipy.sparse.coo_matrix(
+        (np.concatenate([w, w]), (np.concatenate([xi, yi]), np.concatenate([yi, xi]))),
+        shape=(n, n),
+    ).tocsr()
+    weights.sort_indices()
+    degrees = np.add.reduceat(weights.data, weights.indptr[:-1])
+    rows = np.repeat(np.arange(n), np.diff(weights.indptr))
+    n_components, labels = connected_components(weights, directed=False)
+    disconnected = None
+    if n_components > 1:
+        missing = [vertices[i] for i in np.flatnonzero(labels != labels[0])]
+        disconnected = f"graph is disconnected; unreachable component contains {missing[:8]!r}"
+    return {
+        "vertices": tuple(vertices),
+        "row_ptr": weights.indptr.astype(np.int64),
+        "cols": weights.indices.astype(np.int64),
+        "w": weights.data,
+        "coef": weights.data / degrees[rows],
+        "degrees": degrees,
+        "weights": weights,
+        "disconnected": disconnected,
+    }
 
 
 def degrees_ref(g):

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import graphcalc as gc
-from graphcalc.cli import main
+from graphcalc.cli import CHECK_KINDS, main
 
 
 @pytest.fixture
@@ -381,3 +385,72 @@ def test_version_flag(runner):
     result = _invoke(runner, ["--version"])
     assert result.exit_code == 0
     assert gc.__version__ in result.output
+
+
+# -- which commands load scipy ------------------------------------------------------
+
+# Runs the CLI entry point in a fresh interpreter and reports, after main()
+# returns, its exit status and every scipy module the process imported.
+_SCIPY_PROBE = """
+import json, sys
+from graphcalc.cli import CHECK_KINDS, main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+print(json.dumps({"exit": status, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _run_cli_subprocess(args, cwd):
+    src = str(Path(gc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def small_grid(tmp_path):
+    g, gpath = _write_graph(tmp_path, "grid2d", rows=4, cols=4)
+    return g, str(gpath)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--version"],
+        ["gen", "--family", "grid2d", "--rows", "4", "--cols", "4", "-o", "gen.edges"],
+        *(["check", kind, "--trials", "3"] for kind in CHECK_KINDS if kind != "liouville"),
+        ["check", "liouville", "--trials", "3", "--steps", "20"],
+    ],
+    ids=lambda args: "-".join(a for a in args[:2] if not a.startswith("-")) or "version",
+)
+def test_commands_without_solver_do_not_import_scipy(tmp_path, small_grid, args):
+    if args[0] == "check":
+        args = [*args, "--graph", small_grid[1], "-o", "report.json"]
+    result = _run_cli_subprocess(args, tmp_path)
+    assert result["exit"] == 0
+    assert result["scipy"] == []
+
+
+def test_solver_commands_still_run_in_scipy_probe(tmp_path, small_grid):
+    g, gpath = small_grid
+    result = _run_cli_subprocess(
+        ["solve", "gl", "--graph", gpath, "--init", "random", "--seed", "1", "-o", "gl.json"], tmp_path
+    )
+    assert result["exit"] == 0
+    assert "scipy.sparse.linalg" in result["scipy"]
+    u0 = tmp_path / "u0.json"
+    gc.write_vertex_function(gc.random_vertex_function(g, np.random.default_rng(0)), u0)
+    result = _run_cli_subprocess(
+        ["evolve", "heat", "--graph", gpath, "--u0", str(u0), "--dt", "0.1", "--steps", "5",
+         "--trace", "trace.csv", "-o", "final.json"],
+        tmp_path,
+    )
+    assert result["exit"] == 0
+    assert "scipy.sparse.linalg" in result["scipy"]

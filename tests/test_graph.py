@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 import graphcalc as gc
 from conftest import family_corpus
-from oracles import d_constant_ref, degrees_ref
+from oracles import construction_ref, d_constant_ref, degrees_ref
 
 
 # -- construction and validation ------------------------------------------------
@@ -85,6 +85,92 @@ def test_disconnected_message_lists_unreachable_vertices():
 def test_graph_is_immutable(p3):
     with pytest.raises(ValueError):
         p3.degrees[0] = 5.0
+    # the CSR index arrays steer every neighbor sum: a write to _row_ptr
+    # would silently change laplacian(g, u)
+    w = p3.weight_matrix
+    for arr in (p3._row_ptr, w.indptr, w.indices, w.data):
+        with pytest.raises(ValueError):
+            arr[1] = 0
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_records(rng, sizes, max_extra):
+    """Shuffled records of one random connected graph per entry of ``sizes``.
+
+    Names are unpadded integers, so their lexicographic order is not the
+    numeric one; every record has a random weight and, half the time, its
+    endpoints reversed.
+    """
+    labels = rng.permutation(sum(sizes))
+    records, start = [], 0
+    for size in sizes:
+        names = [f"v{label}" for label in labels[start : start + size]]
+        start += size
+        pairs = {(int(rng.integers(i)), i) for i in range(1, size)}  # spanning tree
+        extra = int(rng.integers(0, min(max_extra, size * (size - 1) // 2 - (size - 1)) + 1))
+        while len(pairs) < size - 1 + extra:
+            i, j = sorted(rng.choice(size, 2, replace=False).tolist())
+            pairs.add((i, j))
+        for i, j in pairs:
+            x, y = (names[i], names[j]) if rng.random() < 0.5 else (names[j], names[i])
+            records.append((x, y, float(rng.uniform(0.1, 5.0))))
+    return [records[k] for k in rng.permutation(len(records))]
+
+
+def _assert_matches_reference(records, dense=True):
+    g = gc.build_graph(records)
+    ref = construction_ref(records)
+    assert ref["disconnected"] is None
+    assert g.vertices == ref["vertices"]
+    assert np.array_equal(g._row_ptr, ref["row_ptr"])
+    for got, want in (
+        (g._ent_cols, ref["cols"]),
+        (g._ent_w, ref["w"]),
+        (g._ent_coef, ref["coef"]),
+        (g.degrees, ref["degrees"]),
+        (g.weight_matrix.data, ref["weights"].data),
+        (g.weight_matrix.indices, ref["weights"].indices),
+        (g.weight_matrix.indptr, ref["weights"].indptr),
+    ):
+        assert _same_bits(got, want)
+    if dense:
+        want = ref["weights"].toarray() / ref["degrees"][:, None]
+        assert _same_bits(g.dense_transition(), want)
+
+
+def test_construction_matches_scipy_reference():
+    rng = np.random.default_rng(20)
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        _assert_matches_reference(_random_records(rng, [n], max_extra=3 * n))
+
+
+def test_construction_randomly_labelled_long_path():
+    # a randomly labelled path makes the connectivity check take several
+    # hook rounds before every vertex shares one root
+    rng = np.random.default_rng(21)
+    n = 10_000
+    names = [f"v{label}" for label in rng.permutation(n)]
+    records = [(names[i], names[i + 1], float(rng.uniform(0.1, 5.0))) for i in range(n - 1)]
+    records = [records[k] for k in rng.permutation(n - 1)]
+    _assert_matches_reference(records, dense=False)
+
+
+def test_disconnected_components_match_scipy_reference():
+    rng = np.random.default_rng(22)
+    for k in range(2, 7):
+        for _ in range(5):
+            sizes = rng.integers(2, 12, size=k).tolist()
+            records = _random_records(rng, sizes, max_extra=6)
+            expected = construction_ref(records)["disconnected"]
+            assert expected is not None
+            with pytest.raises(gc.DisconnectedError) as excinfo:
+                gc.build_graph(records)
+            assert str(excinfo.value) == expected
 
 
 def test_neighbors_canonical_order():
@@ -333,8 +419,15 @@ def test_vertex_function_accessors(p3):
     assert u["b"] == 2.0
     assert len(u) == 3
     assert u.as_dict() == {"a": 1.0, "b": 2.0, "c": 3.0}
-    with pytest.raises(gc.DomainMismatchError):
+    with pytest.raises(gc.DomainMismatchError, match=r"^vertex 'zz' not in function domain$"):
         u["zz"]
+    # a missing vertex looked up before any other, and an unhashable key
+    fresh = gc.VertexFunction.from_dict(p3, {"a": 1.0, "b": 2.0, "c": 3.0})
+    with pytest.raises(gc.DomainMismatchError, match=r"^vertex 'zz' not in function domain$"):
+        fresh["zz"]
+    with pytest.raises(gc.DomainMismatchError, match=r"^vertex \['a'\] not in function domain$"):
+        fresh[["a"]]
+    assert [fresh[v] for v in p3.vertices] == [1.0, 2.0, 3.0]
 
 
 def test_random_vertex_function_properties(k5):
