@@ -29,25 +29,20 @@ class SlackView(Mapping):
     """Read-only ``{key: slack}`` mapping over a float64 slack array.
 
     Entry ``i`` belongs to ``keys[i]``, or to ``keys[index[i]]`` when an
-    index array selects a subset of the keys. ``ordered`` declares that the
-    entries' keys ascend, which lets the worst key be read off the first
-    minimal entry. The per-key dict is built only on the first lookup.
+    index array selects a subset of the keys. The per-key dict is built only
+    on the first lookup.
     """
 
-    __slots__ = ("_keys", "_index", "_values", "_ordered", "_imin", "_dict")
+    __slots__ = ("_keys", "_index", "_values", "_imin", "_dict")
 
-    def __init__(self, keys: tuple[str, ...], values: np.ndarray, *, index=None, ordered=False):
+    def __init__(self, keys: tuple[str, ...], values: np.ndarray, *, index=None):
         values = np.asarray(values, dtype=np.float64)
         values.setflags(write=False)
         self._keys = keys
         self._index = index
         self._values = values
-        self._ordered = ordered
         self._imin = None
         self._dict = None
-
-    def _key(self, i: int) -> str:
-        return self._keys[i] if self._index is None else self._keys[self._index[i]]
 
     def _first_min_index(self) -> int:
         # argmin returns the first minimal entry, and the first NaN if any
@@ -68,12 +63,12 @@ class SlackView(Mapping):
         if any); None if there are no entries."""
         if not len(self._values):
             return None
-        i = self._first_min_index()
-        if self._ordered:
-            return self._key(i)
-        m = self._values[i]
-        tied = np.isnan(self._values) if np.isnan(m) else self._values == m
-        return min(self._key(j) for j in np.flatnonzero(tied))
+        m = self._values[self._first_min_index()]
+        tied = np.flatnonzero(np.isnan(self._values) if np.isnan(m) else self._values == m)
+        if self._index is not None:
+            tied = self._index[tied]
+        keys = self._keys
+        return min(keys[i] for i in tied.tolist())
 
     def _as_dict(self) -> dict[str, float]:
         if self._dict is None:
@@ -129,12 +124,12 @@ class CertificateReport:
     @classmethod
     def from_array(
         cls, check: str, keys: tuple[str, ...], values: np.ndarray, tol: float, info=None,
-        *, index=None, ordered=False,
+        *, index=None,
     ) -> "CertificateReport":
         """Build a report over the slack array ``values``; see :class:`SlackView`
-        for ``keys``, ``index`` and ``ordered``. The report keeps ``values``
-        and makes it read-only."""
-        slack = SlackView(keys, values, index=index, ordered=ordered)
+        for ``keys`` and ``index``. The report keeps ``values`` and makes it
+        read-only."""
+        slack = SlackView(keys, values, index=index)
         min_slack = slack.first_min()
         return cls(check, float(tol), bool(min_slack >= -tol), min_slack, slack, info)
 
@@ -279,7 +274,7 @@ def check_kato1(g: WeightedGraph, u: VertexFunction, tol: float = DEFAULT_TOL) -
     """
     values = require_same_domain(g, u)
     slack = _grad_sq_values(g, values) - _grad_sq_values(g, np.abs(values))
-    return CertificateReport.from_array("kato1", g.vertices, slack, tol, ordered=True)
+    return CertificateReport.from_array("kato1", g.vertices, slack, tol)
 
 
 def check_product_rule(
@@ -296,9 +291,7 @@ def check_product_rule(
     lap_u = _laplacian_values(g, values)
     middle = 2.0 * np.real(np.conj(values) * lap_u)
     residual = lap_usq - middle - _grad_sq_values(g, values)
-    return CertificateReport.from_array(
-        "product_rule", g.vertices, -np.abs(residual), tol, ordered=True
-    )
+    return CertificateReport.from_array("product_rule", g.vertices, -np.abs(residual), tol)
 
 
 def check_kato2(
@@ -318,6 +311,6 @@ def check_kato2(
     pos = np.maximum(values, 0.0)
     slack_pos = _laplacian_values(g, pos) - (values > 0.0).astype(np.float64) * lap_u
     return (
-        CertificateReport.from_array("kato2_abs", g.vertices, slack_abs, tol, ordered=True),
-        CertificateReport.from_array("kato2_pos_part", g.vertices, slack_pos, tol, ordered=True),
+        CertificateReport.from_array("kato2_abs", g.vertices, slack_abs, tol),
+        CertificateReport.from_array("kato2_pos_part", g.vertices, slack_pos, tol),
     )

@@ -190,6 +190,8 @@ def cmd_check(ctx, kind, graph_path, trials, seed, tol, p_exponent, bound, steps
     started = time.perf_counter()
     if trials < 1:
         raise BadParamsError(f"trials must be >= 1, got {trials}")
+    if not np.isfinite(tol):
+        raise BadParamsError(f"tol must be finite, got {tol!r}")
     g = read_edge_list(graph_path)
     out = out or f"check_{kind}.json"
 
@@ -373,21 +375,18 @@ def cmd_evolve(ctx, flow, graph_path, u0_path, dt, steps, stride, solve_tol, tra
         cert = check_parabolic_max(diag)
         if not cert.passed and failed is None:
             failed = "parabolic maximum certificate failed"
+    elif flow == "schrodinger":
+        final, trace = schrodinger_evolve(g, u0, cfg)
+        m0, e0 = trace.mass[0], trace.dirichlet_energy[0]
+        mass_drift = max(abs(m - m0) for m in trace.mass) / max(m0, 1e-300)
+        energy_drift = max(abs(e - e0) for e in trace.dirichlet_energy) / max(1.0, e0)
+        if mass_drift > 1e-8 or energy_drift > 1e-8:
+            failed = (
+                f"conservation violated: mass drift {mass_drift:.3e}, "
+                f"energy drift {energy_drift:.3e}"
+            )
     else:
-        if not u0.is_complex:
-            u0 = VertexFunction(g.vertices, u0.values.astype(np.complex128))
-        if flow == "schrodinger":
-            final, trace = schrodinger_evolve(g, u0, cfg)
-            m0, e0 = trace.mass[0], trace.dirichlet_energy[0]
-            mass_drift = max(abs(m - m0) for m in trace.mass) / max(m0, 1e-300)
-            energy_drift = max(abs(e - e0) for e in trace.dirichlet_energy) / max(1.0, e0)
-            if mass_drift > 1e-8 or energy_drift > 1e-8:
-                failed = (
-                    f"conservation violated: mass drift {mass_drift:.3e}, "
-                    f"energy drift {energy_drift:.3e}"
-                )
-        else:
-            final, trace = gp_evolve(g, u0, cfg)
+        final, trace = gp_evolve(g, u0, cfg)
 
     trace.write_csv(trace_path)
     write_vertex_function(final, out)

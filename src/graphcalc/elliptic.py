@@ -16,6 +16,7 @@ from .calculus import (
     DEFAULT_TOL,
     CertificateReport,
     SlackView,
+    _abs2,
     _combinatorial_laplacian,
     _grad_sq_values,
     _laplacian_values,
@@ -70,7 +71,8 @@ class SolverConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 0 or not (0 < self.damping <= 1):
+        tol_ok = np.isfinite(self.tol) and self.tol > 0
+        if not tol_ok or self.max_iters < 0 or not (0 < self.damping <= 1):
             raise BadParamsError(f"invalid solver configuration {self!r}")
 
     @classmethod
@@ -140,6 +142,8 @@ def solve_linear_schrodinger(
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
+    if not (np.isfinite(tol) and tol >= 0):
+        raise BadParamsError(f"tol must be nonnegative and finite, got {tol!r}")
     fv = require_same_domain(g, f)
     qv = require_same_domain(g, Q.values)
     n = g.n_vertices
@@ -195,9 +199,7 @@ def solve_linear_schrodinger(
 
 
 def _gl_residual(g: WeightedGraph, v: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(v):
-        return _laplacian_values(g, v) + v * (1.0 - (v.real**2 + v.imag**2))
-    return _laplacian_values(g, v) + v * (1.0 - v * v)
+    return _laplacian_values(g, v) + v * (1.0 - _abs2(v))
 
 
 def _gl_newton_step(P: "scipy.sparse.csr_matrix", v: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -356,7 +358,7 @@ def verify_gl_bound(g: WeightedGraph, u: VertexFunction, tol: float = 1e-9) -> C
         )
     slack = 1.0 - np.abs(values) + tol
     return CertificateReport.from_array(
-        "gl_bound", g.vertices, slack, 0.0, {"residual_sup": res, "solution_tol": tol}, ordered=True
+        "gl_bound", g.vertices, slack, 0.0, {"residual_sup": res, "solution_tol": tol}
     )
 
 
@@ -377,7 +379,7 @@ def check_subsolution(
     qv = require_same_domain(g, Q.values)
     pos = np.maximum(values, 0.0)
     slack = _laplacian_values(g, pos) - qv * pos
-    return CertificateReport.from_array("subsolution", g.vertices, slack, tol, ordered=True)
+    return CertificateReport.from_array("subsolution", g.vertices, slack, tol)
 
 
 def verify_gradient_estimate(
@@ -410,18 +412,23 @@ def verify_gradient_estimate(
     q = lap[idx] / uq
     usq = uq * uq
     slack = (d * (1.0 + q) ** 2 - 2.0 * q - 1.0) * usq - gq
-    second = SlackView(g.vertices, d * q * q * usq - gq, index=idx, ordered=True)
+    second = SlackView(g.vertices, d * q * q * usq - gq, index=idx)
     info = {
         "d_constant": d,
         "second_bound_min_slack": second.first_min(),
         "second_bound_slack": second,
     }
     return CertificateReport.from_array(
-        "gradient_estimate", g.vertices, slack, tol, info, index=idx, ordered=True
+        "gradient_estimate", g.vertices, slack, tol, info, index=idx
     )
 
 
 # -- Liouville machinery ---------------------------------------------------------
+
+
+def _require_liouville_params(p: float, bound: float) -> None:
+    if not (np.isfinite(p) and p > 0 and np.isfinite(bound) and bound > 0):
+        raise BadParamsError(f"need finite p > 0 and bound > 0, got p={p!r}, bound={bound!r}")
 
 
 def check_liouville_premises(
@@ -440,8 +447,9 @@ def check_liouville_premises(
     """
     if u.is_complex:
         raise ComplexNotAllowedError("check_liouville_premises requires real input")
-    if p <= 0 or bound <= 0:
-        raise BadParamsError(f"need p > 0 and bound > 0, got p={p!r}, bound={bound!r}")
+    _require_liouville_params(p, bound)
+    if not np.isfinite(tol):
+        raise BadParamsError(f"tol must be finite, got {tol!r}")
     values = require_same_domain(g, u)
     lap = _laplacian_values(g, values)
     # Clipping keeps u^p finite for fractional p; the nonnegativity slack
@@ -456,9 +464,7 @@ def check_liouville_premises(
         "upper_bound_min": float(np.min(s_upper)),
         "supersolution_min": float(np.min(s_super)),
     }
-    return CertificateReport.from_array(
-        "liouville_premises", g.vertices, combined, tol, info, ordered=True
-    )
+    return CertificateReport.from_array("liouville_premises", g.vertices, combined, tol, info)
 
 
 class ChainOutcome(str, Enum):
@@ -527,8 +533,8 @@ def keller_osserman_chain(
     """
     if u.is_complex:
         raise ComplexNotAllowedError("keller_osserman_chain requires real input")
-    if p <= 0:
-        raise BadParamsError(f"need p > 0, got {p!r}")
+    if not (np.isfinite(p) and p > 0):
+        raise BadParamsError(f"need finite p > 0, got {p!r}")
     values = require_same_domain(g, u)
     if np.any(values < 0.0):
         raise NegativeInputError("u must be nonnegative")
@@ -658,8 +664,9 @@ def liouville_search(
     (zero tolerance). A counterexample is any exactly feasible function with
     sup norm above ``norm_threshold``; the Liouville theorem predicts none.
     """
-    if p <= 0 or bound <= 0 or restarts < 1 or steps < 1:
-        raise BadParamsError("need p > 0, bound > 0, restarts >= 1, steps >= 1")
+    _require_liouville_params(p, bound)
+    if restarts < 1 or steps < 1 or not np.isfinite(norm_threshold):
+        raise BadParamsError("need restarts >= 1, steps >= 1 and a finite norm_threshold")
     n = g.n_vertices
     rng = np.random.default_rng(seed)
     pt = g.dense_transition().T.copy()

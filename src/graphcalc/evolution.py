@@ -12,9 +12,13 @@ term via Strang splitting with a modulus-preserving phase rotation, so mass
 is still conserved exactly while the free energy drifts at second order in
 the step size.
 
-Every step matrix is factorized once per run with sparse LU (SuperLU) and
-each step is a pair of triangular solves. One method serves every graph
-size, so the per-solve residual check means the same thing at every n.
+All three flows run through one implicit stepper and one time loop. The
+stepper solves M delta = b D lap(u) for the increment: heat passes
+M = (1 + dt) D - dt W with b = dt, the Crank-Nicolson step M = D + (i dt/2) L
+with b = i dt (W the weight matrix, L = D - W). M is factorized once per run
+with sparse LU (SuperLU), each step is a pair of triangular solves, and
+every solve's residual is checked. One method serves every graph size, so
+the residual check means the same thing at every n.
 """
 
 from dataclasses import dataclass
@@ -24,6 +28,7 @@ import numpy as np
 
 from .calculus import (
     CertificateReport,
+    _abs2,
     _combinatorial_laplacian,
     _laplacian_values,
     dirichlet_energy,
@@ -144,71 +149,65 @@ class MaxPrincipleDiag:
     first_violation_step: int | None = None
 
 
-class _Factorized:
-    """Linear solver for a fixed step matrix, with a per-solve residual check.
+def _implicit_stepper(g: WeightedGraph, matrix: "scipy.sparse.spmatrix", b, solve_tol: float):
+    """The implicit step v <- v + M^{-1} (b D lap(v)) for a fixed step matrix M.
 
-    The matrix is factorized once with sparse LU; each call solves with the
-    stored factors. LinearSolveFailureError is raised when the factorization
-    meets an exactly zero pivot, and when a solve's residual exceeds
-    100 * solve_tol relative to the right-hand side.
+    Every flow steps in this deviation form: with lap evaluated through the
+    neighbor-difference formula, a function in the kernel of lap is a bitwise
+    fixed point (the right-hand side vanishes identically instead of up to
+    round-off). M is factorized once with sparse LU. LinearSolveFailureError
+    is raised when the factorization meets an exactly zero pivot, and when a
+    solve's residual exceeds 100 * solve_tol relative to the right-hand side.
     """
+    import scipy.sparse.linalg as spla
 
-    def __init__(self, matrix: "scipy.sparse.spmatrix", solve_tol: float):
-        import scipy.sparse.linalg as spla
+    csr = matrix.tocsr()
+    try:
+        lu = spla.splu(matrix.tocsc())
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise LinearSolveFailureError(f"factorization failed: {exc}") from None
 
-        self._matrix = matrix.tocsr()
-        self._solve_tol = solve_tol
-        try:
-            self._lu = spla.splu(matrix.tocsc())
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise LinearSolveFailureError(f"factorization failed: {exc}") from None
-
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        out = self._lu.solve(rhs)
-        residual = float(np.max(np.abs(self._matrix @ out - rhs)))
+    def step(v: np.ndarray) -> np.ndarray:
+        rhs = b * g.degrees * _laplacian_values(g, v)
+        delta = lu.solve(rhs)
+        residual = float(np.max(np.abs(csr @ delta - rhs)))
         scale = max(1.0, float(np.max(np.abs(rhs))))
-        if not np.isfinite(residual) or residual > self._solve_tol * scale * 100.0:
+        if not np.isfinite(residual) or residual > solve_tol * scale * 100.0:
             raise LinearSolveFailureError(
                 f"linear solve residual {residual:.3e} exceeds tolerance"
             )
-        return out
-
-
-def _heat_stepper(g: WeightedGraph, dt: float, solve_tol: float):
-    """One implicit-Euler step of u_t = lap(u) in deviation form.
-
-    Solving ((1 + dt) D - dt W) delta = dt * D * lap(u) for the increment,
-    with lap evaluated through the neighbor-difference formula, keeps
-    constant states exactly stationary (the right-hand side vanishes
-    identically instead of up to round-off).
-    """
-    import scipy.sparse as sp
-
-    d = sp.diags(g.degrees)
-    solver = _Factorized((1.0 + dt) * d - dt * g.weight_matrix, solve_tol)
-
-    def step(v: np.ndarray) -> np.ndarray:
-        rhs = dt * g.degrees * _laplacian_values(g, v)
-        return v + solver(rhs)
+        return v + delta
 
     return step
 
 
-def _cayley_stepper(g: WeightedGraph, dt: float, solve_tol: float):
-    """One Crank-Nicolson step of i u_t + lap(u) = 0 in deviation form.
-
-    (D + i dt L / 2) delta = i dt D lap(u), u <- u + delta; functions in the
-    kernel of lap are bitwise fixed points.
-    """
+def _cayley_start(g: WeightedGraph, u: VertexFunction, dt: float, solve_tol: float):
+    """Complex initial values and the Crank-Nicolson step of i u_t + lap(u) = 0:
+    M = D + (i dt / 2) L with L = D - W, and b = i dt."""
     import scipy.sparse as sp
 
-    solver = _Factorized(sp.diags(g.degrees) + 0.5j * dt * _combinatorial_laplacian(g), solve_tol)
+    values = require_same_domain(g, u).astype(np.complex128)
+    matrix = sp.diags(g.degrees) + 0.5j * dt * _combinatorial_laplacian(g)
+    return values, _implicit_stepper(g, matrix, 1j * dt, solve_tol)
 
-    def step(v: np.ndarray) -> np.ndarray:
-        rhs = 1j * dt * g.degrees * _laplacian_values(g, v)
-        return v + solver(rhs)
 
-    return step
+def _evolve(g: WeightedGraph, cfg: EvolutionConfig, scheme: EvolutionScheme, caller: str, start):
+    """The time loop of every flow: ``cfg.steps`` steps, traced every ``cfg.stride``.
+
+    ``start()`` returns the initial values and the step function. It runs
+    only after ``cfg.scheme`` has been checked, so a wrong scheme is rejected
+    before anything is factorized.
+    """
+    if cfg.scheme is not scheme:
+        raise BadParamsError(f"{caller} needs scheme={scheme.value}, got {cfg.scheme}")
+    values, step = start()
+    trace = EvolutionTrace.empty()
+    trace.record(g, 0, cfg.dt, values)
+    for k in range(1, cfg.steps + 1):
+        values = step(values)
+        if k % cfg.stride == 0:
+            trace.record(g, k, cfg.dt, values)
+    return VertexFunction(g.vertices, values), trace
 
 
 def evolve_heat(
@@ -216,31 +215,35 @@ def evolve_heat(
 ) -> tuple[VertexFunction, EvolutionTrace, MaxPrincipleDiag]:
     """Implicit-Euler heat flow u_t = lap(u) with max-principle diagnostics.
 
-    Returns the final state, the strided trace, and the per-step signed
-    envelope record (max non-increasing, min non-decreasing to ENVELOPE_TOL).
+    The step matrix is (1 + dt) D - dt W with b = dt. Returns the final
+    state, the strided trace, and the per-step signed envelope record (max
+    non-increasing, min non-decreasing to ENVELOPE_TOL).
     """
-    if cfg.scheme is not EvolutionScheme.HEAT_IMPLICIT:
-        raise BadParamsError(f"evolve_heat needs scheme=heat_implicit, got {cfg.scheme}")
-    if u0.is_complex:
-        raise ComplexNotAllowedError("heat flow requires a real initial state")
-    values = require_same_domain(g, u0).copy()
-    step = _heat_stepper(g, cfg.dt, cfg.solve_tol)
+    maxes: list[float] = []
+    mins: list[float] = []
 
-    trace = EvolutionTrace.empty()
-    trace.record(g, 0, cfg.dt, values)
-    maxes = [float(np.max(values))]
-    mins = [float(np.min(values))]
-    violation = None
-    for k in range(1, cfg.steps + 1):
-        values = step(values)
-        maxes.append(float(np.max(values)))
-        mins.append(float(np.min(values)))
-        if violation is None and (
-            maxes[-1] > maxes[-2] + ENVELOPE_TOL or mins[-1] < mins[-2] - ENVELOPE_TOL
-        ):
-            violation = k
-        if k % cfg.stride == 0:
-            trace.record(g, k, cfg.dt, values)
+    def envelope(v: np.ndarray) -> np.ndarray:
+        maxes.append(float(np.max(v)))
+        mins.append(float(np.min(v)))
+        return v
+
+    def start():
+        import scipy.sparse as sp
+
+        if u0.is_complex:
+            raise ComplexNotAllowedError("heat flow requires a real initial state")
+        values = require_same_domain(g, u0)
+        # (1 + dt) d, not d + dt d, which rounds differently for some degrees
+        matrix = (1.0 + cfg.dt) * sp.diags(g.degrees) - cfg.dt * g.weight_matrix
+        step = _implicit_stepper(g, matrix, cfg.dt, cfg.solve_tol)
+        return envelope(values), lambda v: envelope(step(v))
+
+    final, trace = _evolve(g, cfg, EvolutionScheme.HEAT_IMPLICIT, "evolve_heat", start)
+    violation = next(
+        (k for k in range(1, len(maxes))
+         if maxes[k] > maxes[k - 1] + ENVELOPE_TOL or mins[k] < mins[k - 1] - ENVELOPE_TOL),
+        None,
+    )
     diag = MaxPrincipleDiag(
         max_values=tuple(maxes),
         min_values=tuple(mins),
@@ -248,7 +251,7 @@ def evolve_heat(
         monotone=violation is None,
         first_violation_step=violation,
     )
-    return VertexFunction(g.vertices, values), trace, diag
+    return final, trace, diag
 
 
 def schrodinger_step(
@@ -257,8 +260,8 @@ def schrodinger_step(
     """A single Cayley step; ``dt`` may be negative, which inverts the step."""
     if dt == 0.0:
         raise BadParamsError("dt must be nonzero")
-    values = require_same_domain(g, u).astype(np.complex128)
-    return VertexFunction(g.vertices, _cayley_stepper(g, dt, solve_tol)(values))
+    values, step = _cayley_start(g, u, dt, solve_tol)
+    return VertexFunction(g.vertices, step(values))
 
 
 def schrodinger_evolve(
@@ -269,20 +272,10 @@ def schrodinger_evolve(
     The step is unitary in the degree norm, so the mass and Dirichlet-energy
     columns of the trace are constant up to the linear-solve residual.
     """
-    if cfg.scheme is not EvolutionScheme.SCHRODINGER_CN:
-        raise BadParamsError(
-            f"schrodinger_evolve needs scheme=schrodinger_cn, got {cfg.scheme}"
-        )
-    values = require_same_domain(g, u0).astype(np.complex128)
-    step = _cayley_stepper(g, cfg.dt, cfg.solve_tol)
-
-    trace = EvolutionTrace.empty()
-    trace.record(g, 0, cfg.dt, values)
-    for k in range(1, cfg.steps + 1):
-        values = step(values)
-        if k % cfg.stride == 0:
-            trace.record(g, k, cfg.dt, values)
-    return VertexFunction(g.vertices, values), trace
+    return _evolve(
+        g, cfg, EvolutionScheme.SCHRODINGER_CN, "schrodinger_evolve",
+        lambda: _cayley_start(g, u0, cfg.dt, cfg.solve_tol),
+    )
 
 
 def gp_evolve(
@@ -295,22 +288,16 @@ def gp_evolve(
     pointwise. Both sub-flows are degree-norm isometries, so mass is
     conserved to solver tolerance; the free energy drifts at O(dt^2).
     """
-    if cfg.scheme is not EvolutionScheme.GP_STRANG:
-        raise BadParamsError(f"gp_evolve needs scheme=gp_strang, got {cfg.scheme}")
-    values = require_same_domain(g, u0).astype(np.complex128)
-    step = _cayley_stepper(g, cfg.dt, cfg.solve_tol)
     half = 0.5 * cfg.dt
 
     def phase(v: np.ndarray) -> np.ndarray:
-        return v * np.exp(-1j * ((v.real**2 + v.imag**2) - 1.0) * half)
+        return v * np.exp(-1j * (_abs2(v) - 1.0) * half)
 
-    trace = EvolutionTrace.empty()
-    trace.record(g, 0, cfg.dt, values)
-    for k in range(1, cfg.steps + 1):
-        values = phase(step(phase(values)))
-        if k % cfg.stride == 0:
-            trace.record(g, k, cfg.dt, values)
-    return VertexFunction(g.vertices, values), trace
+    def start():
+        values, cn = _cayley_start(g, u0, cfg.dt, cfg.solve_tol)
+        return values, lambda v: phase(cn(phase(v)))
+
+    return _evolve(g, cfg, EvolutionScheme.GP_STRANG, "gp_evolve", start)
 
 
 def check_parabolic_max(diag: MaxPrincipleDiag, tol: float = ENVELOPE_TOL) -> CertificateReport:

@@ -258,6 +258,34 @@ def test_solve_gl_with_config_file(runner, tmp_path):
     assert manifest["config"]["solver"]["seed"] == 9
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "gl", "--tol", "inf"],
+        ["solve", "gl", "--tol", "nan"],
+        # f = 1 is incompatible with the pure-Neumann system: sum d_x f(x) = 48
+        ["solve", "schrodinger-stationary", "--f", "ones.json", "--tol", "inf"],
+        ["solve", "schrodinger-stationary", "--f", "ones.json", "--tol", "nan"],
+        ["check", "kato1", "--tol", "nan"],
+        ["check", "kato1", "--tol", "inf"],
+        ["check", "liouville", "--p", "nan"],
+        ["check", "liouville", "--p", "inf"],
+        ["check", "liouville", "--bound", "inf"],
+    ],
+    ids=lambda args: "-".join(a.lstrip("-") for a in args if not a.endswith(".json")),
+)
+def test_non_finite_parameter_exit_2(runner, tmp_path, monkeypatch, args):
+    g, gpath = _write_graph(tmp_path, "grid2d", rows=4, cols=4)
+    gc.write_vertex_function(gc.VertexFunction.constant(g, 1.0), tmp_path / "ones.json")
+    monkeypatch.chdir(tmp_path)
+    extra = ["--trials", "3", "--steps", "20"] if args[0] == "check" else []
+    result = runner.invoke(main, [*args[:2], "--graph", "g.edges", *extra, *args[2:]])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
+    assert args[-1] in result.output
+
+
 # -- evolve --------------------------------------------------------------------------
 
 

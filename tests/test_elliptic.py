@@ -43,6 +43,10 @@ def test_pure_neumann_needs_compatibility(p3):
     f = gc.VertexFunction.constant(p3, 1.0)
     with pytest.raises(gc.IncompatibleRHSError):
         gc.solve_linear_schrodinger(p3, gc.Potential.zero(p3), f)
+    # a non-finite tolerance would accept or reject anything
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(gc.BadParamsError):
+            gc.solve_linear_schrodinger(p3, gc.Potential.zero(p3), f, tol=tol)
 
 
 def test_pure_neumann_compatible_solves_with_zero_mean_gauge(p3):
@@ -184,8 +188,9 @@ def test_gl_singular_jacobian_with_stalled_fallback_raises(p3):
 
 
 def test_solver_config_validation():
-    with pytest.raises(gc.BadParamsError):
-        gc.SolverConfig(tol=-1.0)
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(gc.BadParamsError):
+            gc.SolverConfig(tol=tol)
     with pytest.raises(gc.BadParamsError):
         gc.SolverConfig(damping=0.0)
     cfg = gc.SolverConfig.from_json_dict({"tol": 1e-8, "max_iters": 10, "damping": 0.5, "seed": 3})
@@ -360,6 +365,13 @@ def test_liouville_premises_validation(k3):
         gc.check_liouville_premises(k3, u, 0.0, 1.0)
     with pytest.raises(gc.BadParamsError):
         gc.check_liouville_premises(k3, u, 1.0, -1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(gc.BadParamsError):
+            gc.check_liouville_premises(k3, u, bad, 1.0)
+        with pytest.raises(gc.BadParamsError):
+            gc.check_liouville_premises(k3, u, 2.0, bad)
+        with pytest.raises(gc.BadParamsError):
+            gc.check_liouville_premises(k3, u, 2.0, 1.0, tol=bad)
 
 
 def test_liouville_premises_random_pass_implies_tiny():
@@ -378,6 +390,14 @@ def test_chain_bad_start(p3):
     u = gc.VertexFunction.from_dict(p3, {"a": 0.0, "b": 1.0, "c": 1.0})
     with pytest.raises(gc.BadStartError):
         gc.keller_osserman_chain(p3, u, 2.0, "a")
+
+
+def test_chain_rejects_non_finite_p(p3):
+    # a NaN p made every increment NaN and still gave a verdict
+    u = gc.VertexFunction.from_dict(p3, {"a": 0.1, "b": 0.2, "c": 0.3})
+    for p in (0.0, float("nan"), float("inf")):
+        with pytest.raises(gc.BadParamsError):
+            gc.keller_osserman_chain(p3, u, p, "a")
 
 
 def test_chain_constant_premise_violation():
@@ -448,6 +468,13 @@ def test_liouville_search_validation(k5):
         gc.liouville_search(k5, -1.0, 1.0)
     with pytest.raises(gc.BadParamsError):
         gc.liouville_search(k5, 1.0, 1.0, restarts=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(gc.BadParamsError):
+            gc.liouville_search(k5, bad, 1.0, restarts=1, steps=1)
+        with pytest.raises(gc.BadParamsError):
+            gc.liouville_search(k5, 2.0, bad, restarts=1, steps=1)
+        with pytest.raises(gc.BadParamsError):
+            gc.liouville_search(k5, 2.0, 1.0, restarts=1, steps=1, norm_threshold=bad)
 
 
 # -- strong maximum principle -------------------------------------------------------

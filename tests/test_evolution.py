@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import graphcalc as gc
 from conftest import family_corpus
-from graphcalc.evolution import _heat_stepper
+from graphcalc.evolution import _implicit_stepper
 from oracles import cn_final_ref, heat_final_ref
 
 
@@ -289,9 +291,12 @@ def test_degenerate_step_matrix_raises_solve_failure(k3, dt):
     # an infinite dt makes the step matrix exactly singular for the LU; a
     # huge finite one overflows into a non-finite solve. EvolutionConfig
     # rejects an infinite dt, so that case drives the steppers directly.
+    import scipy.sparse as sp
+
     u0 = gc.VertexFunction(k3.vertices, np.array([1.0, 0.0, 0.0]))
+    heat_matrix = (1.0 + dt) * sp.diags(k3.degrees) - dt * k3.weight_matrix
     with pytest.raises(gc.LinearSolveFailureError):
-        _heat_stepper(k3, dt, 1e-12)(u0.values.copy())
+        _implicit_stepper(k3, heat_matrix, dt, 1e-12)(u0.values.copy())
     with pytest.raises(gc.LinearSolveFailureError):
         gc.schrodinger_step(k3, u0, dt)
     if np.isfinite(dt):
@@ -307,3 +312,48 @@ def test_gp_phase_step_preserves_modulus(k3):
     final, trace = gc.gp_evolve(k3, u0, _cfg("gp_strang", dt=0.05, steps=1))
     # one step: mass identical to round-off even for coarse dt
     assert trace.mass[-1] == pytest.approx(trace.mass[0], rel=1e-13)
+
+
+def _flow_digests(tmp_path):
+    """SHA-256 of each flow's trace CSV, final values and (heat) envelopes."""
+    g = gc.generate("gnp", n=9, p=0.5, seed=2, weight_sampler=lambda r, m: r.uniform(0.2, 3.0, m))
+    rng = np.random.default_rng(29)
+    u = gc.random_vertex_function(g, rng)
+    z = gc.random_vertex_function(g, rng, complex_values=True)
+    final, trace, diag = gc.evolve_heat(g, u, _cfg("heat_implicit", dt=0.2, steps=12, stride=5))
+    runs = {"heat": (trace, final, np.array(diag.max_values + diag.min_values))}
+    final, trace = gc.schrodinger_evolve(g, z, _cfg("schrodinger_cn", dt=0.3, steps=10, stride=3))
+    runs["schrodinger"] = (trace, final, None)
+    final, trace = gc.gp_evolve(g, u, _cfg("gp_strang", dt=0.05, steps=10, stride=2))
+    runs["gp"] = (trace, final, None)
+    runs["schrodinger_step"] = (None, gc.schrodinger_step(g, z, -0.7), None)
+    out = {}
+    for name, (trace, final, envelopes) in runs.items():
+        if trace is not None:
+            trace.write_csv(tmp_path / f"{name}.csv")
+            out[f"{name}.trace"] = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+        out[f"{name}.final"] = hashlib.sha256(final.values.tobytes()).hexdigest()
+        if envelopes is not None:
+            out[f"{name}.envelopes"] = hashlib.sha256(envelopes.tobytes()).hexdigest()
+    return g, out
+
+
+# recorded with separate heat and Crank-Nicolson steppers and a time loop per flow
+FLOW_SHA256 = {
+    "heat.trace": "4b069d64397a06a58fe52361aad9dc7c5aeec40ea5e4befe125a075e63cc3ef0",
+    "heat.final": "df9e94ca8e520ca70febe1639f336882d54b4b2cbc83be7a5983d47503dbc64e",
+    "heat.envelopes": "61083f3d10679d62eff828454969ddac1afafe04c6e36b36707057f13222655d",
+    "schrodinger.trace": "f1c325b8d76f8649971071633ffe2b6031b2128ba50a057fa3b8ee8b6ce4104b",
+    "schrodinger.final": "5bf163a9d66fe9785a71cdb2dbf76725e685039b75844accefa2b061dbd6c131",
+    "gp.trace": "01c96d9facbd65d68475b19298e8bc12e10b65cf3984b4b1502dba56a29052c5",
+    "gp.final": "a3525e8eb0d7d15cfec11ea53d9c4e7f7ed37944f920ea8fe0cc84b42eb438a7",
+    "schrodinger_step.final": "b89643633577bd3890171f70f494f17cdfbec5ac2471cda4cab1c6b02ffd9c9c",
+}
+
+
+def test_flow_outputs_match_recorded_bytes(tmp_path):
+    g, digests = _flow_digests(tmp_path)
+    # heat's step matrix is (1 + dt) D - dt W: at dt = 0.2 some degree d has
+    # (1 + dt) d != d + dt d, so building it as D + dt L would move the digests
+    assert np.any((1.0 + 0.2) * g.degrees != g.degrees + 0.2 * g.degrees)
+    assert digests == FLOW_SHA256
