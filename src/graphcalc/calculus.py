@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexNotAllowedError
+from .errors import BadParamsError, ComplexNotAllowedError
 from .graph import VertexFunction, WeightedGraph, require_same_domain
 from .serialize import json_dumps
 
@@ -128,7 +128,9 @@ class CertificateReport:
     ) -> "CertificateReport":
         """Build a report over the slack array ``values``; see :class:`SlackView`
         for ``keys`` and ``index``. The report keeps ``values`` and makes it
-        read-only."""
+        read-only. A non-finite ``tol`` raises :class:`BadParamsError`."""
+        if not math.isfinite(tol):  # min_slack >= -inf always holds, >= -nan never
+            raise BadParamsError(f"tol must be finite, got {tol!r}")
         slack = SlackView(keys, values, index=index)
         min_slack = slack.first_min()
         return cls(check, float(tol), bool(min_slack >= -tol), min_slack, slack, info)

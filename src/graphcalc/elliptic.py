@@ -448,8 +448,6 @@ def check_liouville_premises(
     if u.is_complex:
         raise ComplexNotAllowedError("check_liouville_premises requires real input")
     _require_liouville_params(p, bound)
-    if not np.isfinite(tol):
-        raise BadParamsError(f"tol must be finite, got {tol!r}")
     values = require_same_domain(g, u)
     lap = _laplacian_values(g, values)
     # Clipping keeps u^p finite for fractional p; the nonnegativity slack
@@ -519,7 +517,6 @@ def keller_osserman_chain(
     u: VertexFunction,
     p: float,
     x0: str,
-    max_steps: int | None = None,
     tol: float = 1e-12,
     bound: float | None = None,
 ) -> ChainCertificate:
@@ -527,9 +524,8 @@ def keller_osserman_chain(
 
     ``bound`` is the a-priori upper bound on u (defaults to max(u), in which
     case the escape outcome is unreachable and the chain ends in a revisit or
-    a premise violation). ``max_steps`` is a safety cap; it is raised to
-    |X| + 1 internally since a verdict is always reached within that many
-    steps on a finite graph.
+    a premise violation). Every step without a verdict adds a new vertex to
+    the chain, so a verdict comes within |X| steps on a finite graph.
     """
     if u.is_complex:
         raise ComplexNotAllowedError("keller_osserman_chain requires real input")
@@ -549,8 +545,6 @@ def keller_osserman_chain(
         raise BadParamsError("bound must be positive")
     w_cap = a / rho
 
-    n = g.n_vertices
-    steps = max(max_steps or 0, n + 1)
     chain = [i0]
     chain_values = [float(w[i0])]
     increments: list[float] = []
@@ -559,7 +553,7 @@ def keller_osserman_chain(
     violation_vertex = None
     premise_slack = None
 
-    for _ in range(steps):
+    for _ in range(g.n_vertices):
         x = chain[-1]
         inc = rho ** (p - 1.0) * w[x] ** p
         lo, hi = g._row_ptr[x], g._row_ptr[x + 1]
@@ -584,7 +578,7 @@ def keller_osserman_chain(
             break
         visited.add(best)
     if outcome is None:
-        raise RuntimeError("chain failed to reach a verdict within the safety cap")
+        raise RuntimeError("chain failed to reach a verdict within |X| steps")
 
     return ChainCertificate(
         chain=tuple(g.vertices[i] for i in chain),
@@ -660,7 +654,7 @@ def liouville_search(
 
     Random starts are pushed upward (ascent on sum u) and repaired toward
     feasibility by capping each vertex at the root of t + t^p = (weighted
-    neighbor mean); survivors are then checked against the exact premises
+    neighbor mean); every survivor is then checked against the exact premises
     (zero tolerance). A counterexample is any exactly feasible function with
     sup norm above ``norm_threshold``; the Liouville theorem predicts none.
     """
@@ -693,7 +687,7 @@ def liouville_search(
     exact_feasible = 0
     max_norm = 0.0
     counterexample = None
-    for row in candidate_rows[:500]:
+    for row in candidate_rows:
         vf = VertexFunction(g.vertices, u[row])
         report = check_liouville_premises(g, vf, p, bound, tol=0.0)
         if report.passed:
@@ -747,6 +741,8 @@ def check_strong_max_principle(
     """
     if u.is_complex:
         raise ComplexNotAllowedError("check_strong_max_principle requires real input")
+    if not np.isfinite(tol):
+        raise BadParamsError(f"tol must be finite, got {tol!r}")
     values = require_same_domain(g, u)
     lap = _laplacian_values(g, values)
     imin = int(np.argmin(lap))
@@ -791,7 +787,10 @@ def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[Spect
     square root of the degree measure), whose spectrum lies in [0, 2]; the
     returned eigenvectors are orthonormal in the degree-weighted inner
     product. The smallest eigenvalue of a connected graph is 0 with a
-    constant eigenvector.
+    constant eigenvector. The solver follows from k, never from n: dense
+    ``eigh`` for k >= n - 1, where ARPACK cannot run, and otherwise
+    shift-invert ``eigsh`` from a fixed start vector, so that repeated calls
+    return the same eigenvectors.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -800,17 +799,15 @@ def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[Spect
     if not (1 <= k <= n):
         raise BadParamsError(f"need 1 <= k <= {n}, got k={k!r}")
     dsqrt = np.sqrt(g.degrees)
-    if n <= 512 or k >= n - 1:
-        norm_op = -(g.weight_matrix.toarray() / np.outer(dsqrt, dsqrt))
-        np.fill_diagonal(norm_op, norm_op.diagonal() + 1.0)
-        norm_op = 0.5 * (norm_op + norm_op.T)
-        evals, evecs = np.linalg.eigh(norm_op)
-        evals, evecs = evals[:k], evecs[:, :k]
+    inv = sp.diags(1.0 / dsqrt)
+    norm_op = (sp.identity(n) - inv @ g.weight_matrix @ inv).tocsc()
+    if k >= n - 1:
+        # ARPACK needs k < n - 1; eigh reads only the lower triangle.
+        evals, evecs = np.linalg.eigh(norm_op.toarray())
     else:
-        inv = sp.diags(1.0 / dsqrt)
-        norm_op = (sp.identity(n) - inv @ g.weight_matrix @ inv).tocsc()
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         try:
-            evals, evecs = spla.eigsh(norm_op, k=k, sigma=-0.1, which="LM")
+            evals, evecs = spla.eigsh(norm_op, k=k, sigma=-0.1, which="LM", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from None
         order = np.argsort(evals)

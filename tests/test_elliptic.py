@@ -441,6 +441,16 @@ def test_chain_structure_invariants():
     assert all(b > a for a, b in zip(cert.values, cert.values[1:]))
 
 
+def test_chain_verdict_on_the_last_of_n_steps():
+    # the chain visits every vertex before its verdict, the longest it can run
+    g = gc.build_graph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)])
+    u = gc.VertexFunction.from_dict(g, {"a": 1.0, "b": 4.0, "c": 15.0, "d": 56.0})
+    cert = gc.keller_osserman_chain(g, u, 1.0, "a", bound=100.0)
+    assert cert.outcome is gc.ChainOutcome.PREMISE_VIOLATION
+    assert cert.chain == ("a", "b", "c", "d")
+    assert cert.violation_vertex == "d"
+
+
 def test_chain_rejects_negative_u(p3):
     u = gc.VertexFunction.from_dict(p3, {"a": -1.0, "b": 1.0, "c": 1.0})
     with pytest.raises(gc.NegativeInputError):
@@ -475,6 +485,37 @@ def test_liouville_search_validation(k5):
             gc.liouville_search(k5, 2.0, bad, restarts=1, steps=1)
         with pytest.raises(gc.BadParamsError):
             gc.liouville_search(k5, 2.0, 1.0, restarts=1, steps=1, norm_threshold=bad)
+
+
+def test_liouville_search_checks_every_candidate(monkeypatch):
+    calls = []
+    check = elliptic.check_liouville_premises
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "check_liouville_premises", counting)
+    g = gc.generate("cycle", n=25)
+    gc.liouville_search(g, 1.0, 1.0, restarts=600, steps=50, seed=3)
+    assert len(calls) == 600
+
+
+def test_non_finite_tol_rejected():
+    # at tol = inf a spike passed as a sub-solution and as a constant, and at
+    # tol = nan a correct Kato input failed both reports
+    g = gc.generate("path", n=5)
+    spike = gc.VertexFunction(g.vertices, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
+    assert not gc.check_subsolution(g, spike, gc.Potential.zero(g)).passed
+    assert gc.check_strong_max_principle(g, spike).outcome is gc.MaxPrincipleOutcome.NOT_SUBHARMONIC
+    assert all(r.passed for r in gc.check_kato2(g, spike))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(gc.BadParamsError):
+            gc.check_subsolution(g, spike, gc.Potential.zero(g), tol=bad)
+        with pytest.raises(gc.BadParamsError):
+            gc.check_kato2(g, spike, tol=bad)
+        with pytest.raises(gc.BadParamsError):
+            gc.check_strong_max_principle(g, spike, tol=bad)
 
 
 # -- strong maximum principle -------------------------------------------------------
@@ -540,11 +581,20 @@ def test_spectrum_ground_state_constant():
 
 
 def test_spectrum_matches_dense_oracle():
-    for _, g in family_corpus(2):
-        pairs = gc.spectrum_smallest(g, g.n_vertices)
-        got = np.array([p.eigenvalue for p in pairs])
+    # every k, so both eigh (k >= n - 1) and eigsh (k < n - 1) are checked
+    for name, g in family_corpus(2):
         ref = eigenvalues_ref(g)
-        assert np.max(np.abs(got - ref)) <= 1e-8
+        for k in range(1, g.n_vertices + 1):
+            got = np.array([p.eigenvalue for p in gc.spectrum_smallest(g, k)])
+            assert np.max(np.abs(got - ref[:k])) <= 1e-8, (name, k)
+
+
+def test_spectrum_repeatable_on_degenerate_eigenspaces():
+    g = gc.generate("cycle", n=600)
+    first, second = gc.spectrum_smallest(g, 4), gc.spectrum_smallest(g, 4)
+    for a, b in zip(first, second):
+        assert a.eigenvalue == b.eigenvalue
+        assert np.array_equal(a.eigenvector.values, b.eigenvector.values)
 
 
 def test_spectrum_in_unit_interval_and_orthonormal():
