@@ -98,28 +98,32 @@ class CertificateReport:
     a ``{key: float}`` dict is built only when something reads it. A plain
     mapping passed to the constructor is wrapped in a view.
 
-    ``min_slack`` is the first minimal slack, and ``passed`` is true exactly
-    when ``min_slack >= -tol``. A NaN slack makes ``min_slack`` NaN, so the
-    report fails, and ``worst_vertex()`` names the first NaN key. ``info``
-    carries optional informational extras that are reported but never
-    asserted.
+    Both verdict fields derive from the slack: ``min_slack`` is the first
+    minimal slack, and ``passed`` is true exactly when ``min_slack >= -tol``,
+    so a non-finite ``tol`` raises :class:`BadParamsError`. A NaN slack makes
+    ``min_slack`` NaN, so the report fails, and ``worst_vertex()`` names the
+    first NaN key. ``info`` carries optional extras that are never asserted.
     """
 
     check: str
     tol: float
-    passed: bool
-    min_slack: float
     slack: Mapping[str, float]
     info: dict | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.tol):  # min_slack >= -inf always holds, >= -nan never
+            raise BadParamsError(f"tol must be finite, got {self.tol!r}")
         if not isinstance(self.slack, SlackView):
             view = SlackView(tuple(self.slack), list(self.slack.values()))
             object.__setattr__(self, "slack", view)
-        expected = self.slack.first_min()
-        same = self.min_slack == expected or (math.isnan(self.min_slack) and math.isnan(expected))
-        if not same or self.passed != (self.min_slack >= -self.tol):
-            raise ValueError("inconsistent certificate report")
+
+    @property
+    def min_slack(self) -> float:
+        return self.slack.first_min()
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.min_slack >= -self.tol)
 
     @classmethod
     def from_array(
@@ -128,16 +132,8 @@ class CertificateReport:
     ) -> "CertificateReport":
         """Build a report over the slack array ``values``; see :class:`SlackView`
         for ``keys`` and ``index``. The report keeps ``values`` and makes it
-        read-only. A non-finite ``tol`` raises :class:`BadParamsError`."""
-        if not math.isfinite(tol):  # min_slack >= -inf always holds, >= -nan never
-            raise BadParamsError(f"tol must be finite, got {tol!r}")
-        slack = SlackView(keys, values, index=index)
-        min_slack = slack.first_min()
-        return cls(check, float(tol), bool(min_slack >= -tol), min_slack, slack, info)
-
-    @classmethod
-    def from_slack(cls, check: str, slack: Mapping[str, float], tol: float, info=None):
-        return cls.from_array(check, tuple(slack), list(slack.values()), tol, info)
+        read-only."""
+        return cls(check, float(tol), SlackView(keys, values, index=index), info)
 
     def worst_vertex(self) -> str | None:
         return self.slack.worst_key()
@@ -167,8 +163,9 @@ def _abs2(values: np.ndarray) -> np.ndarray:
 
 
 def _laplacian_values(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
-    terms = g._ent_coef * (values[g._ent_cols] - values[g._ent_rows])
-    return np.add.reduceat(terms, g._row_ptr[:-1])
+    # lap along the last axis; each row of a batch equals its one-row call bitwise
+    terms = g._ent_coef * (values[..., g._ent_cols] - values[..., g._ent_rows])
+    return np.add.reduceat(terms, g._row_ptr[:-1], axis=-1)
 
 
 def _grad_sq_values(g: WeightedGraph, values: np.ndarray) -> np.ndarray:

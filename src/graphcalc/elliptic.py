@@ -431,6 +431,16 @@ def _require_liouville_params(p: float, bound: float) -> None:
         raise BadParamsError(f"need finite p > 0 and bound > 0, got p={p!r}, bound={bound!r}")
 
 
+def _premise_slacks(g: WeightedGraph, values: np.ndarray, p: float, bound: float):
+    """The slacks of u >= 0, u <= bound and lap(u) >= u^p along the last axis
+    of ``values``, preceded by their elementwise minimum."""
+    s_upper = bound - values
+    # Clipping keeps u^p finite for fractional p; the nonnegativity slack
+    # already fails wherever the clip is active.
+    s_super = _laplacian_values(g, values) - np.power(np.maximum(values, 0.0), p)
+    return np.minimum(np.minimum(values, s_upper), s_super), values, s_upper, s_super
+
+
 def check_liouville_premises(
     g: WeightedGraph,
     u: VertexFunction,
@@ -449,14 +459,7 @@ def check_liouville_premises(
         raise ComplexNotAllowedError("check_liouville_premises requires real input")
     _require_liouville_params(p, bound)
     values = require_same_domain(g, u)
-    lap = _laplacian_values(g, values)
-    # Clipping keeps u^p finite for fractional p; the nonnegativity slack
-    # already fails wherever the clip is active.
-    powered = np.power(np.maximum(values, 0.0), p)
-    s_nonneg = values
-    s_upper = bound - values
-    s_super = lap - powered
-    combined = np.minimum(np.minimum(s_nonneg, s_upper), s_super)
+    combined, s_nonneg, s_upper, s_super = _premise_slacks(g, values, p, bound)
     info = {
         "nonnegative_min": float(np.min(s_nonneg)),
         "upper_bound_min": float(np.min(s_upper)),
@@ -524,13 +527,13 @@ def keller_osserman_chain(
 
     ``bound`` is the a-priori upper bound on u (defaults to max(u), in which
     case the escape outcome is unreachable and the chain ends in a revisit or
-    a premise violation). Every step without a verdict adds a new vertex to
-    the chain, so a verdict comes within |X| steps on a finite graph.
+    a premise violation); ``p``, ``tol`` and ``bound`` must be finite. Each
+    step without a verdict adds a new vertex, so one comes within |X| steps.
     """
     if u.is_complex:
         raise ComplexNotAllowedError("keller_osserman_chain requires real input")
-    if not (np.isfinite(p) and p > 0):
-        raise BadParamsError(f"need finite p > 0, got {p!r}")
+    if not np.isfinite(tol):
+        raise BadParamsError(f"tol must be finite, got {tol!r}")
     values = require_same_domain(g, u)
     if np.any(values < 0.0):
         raise NegativeInputError("u must be nonnegative")
@@ -539,10 +542,9 @@ def keller_osserman_chain(
     if rho <= 0.0:
         raise BadStartError(f"u({x0!r}) = {rho!r} must be positive")
 
-    w = values / rho
     a = float(bound) if bound is not None else float(np.max(values))
-    if a <= 0.0:
-        raise BadParamsError("bound must be positive")
+    _require_liouville_params(p, a)
+    w = values / rho
     w_cap = a / rho
 
     chain = [i0]
@@ -562,10 +564,9 @@ def keller_osserman_chain(
         if w[best] < w[x] + inc - tol:
             # The best neighbor falls short, so the weighted average does too:
             # the premise lap(u) >= u^p cannot hold at x.
-            lap_x = float(np.sum(g._ent_coef[lo:hi] * (values[cols] - values[x])))
             outcome = ChainOutcome.PREMISE_VIOLATION
             violation_vertex = g.vertices[x]
-            premise_slack = lap_x - float(values[x]) ** p
+            premise_slack = float(_premise_slacks(g, values, p, a)[3][x])
             break
         increments.append(float(inc))
         chain.append(best)
@@ -592,6 +593,9 @@ def keller_osserman_chain(
         violation_vertex=violation_vertex,
         premise_slack=premise_slack,
     )
+
+
+LIOUVILLE_NORM_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -632,7 +636,9 @@ def _cap_root(m: np.ndarray, p: float) -> np.ndarray:
         return 0.5 * m
     if p == 2.0:
         return 0.5 * (np.sqrt(1.0 + 4.0 * m) - 1.0)
-    t = np.minimum(m, np.power(np.maximum(m, 0.0), 1.0 / p))
+    # For p < 1, m^(1/p) overflows only where it exceeds m, and min picks m.
+    with np.errstate(over="ignore"):
+        t = np.minimum(m, np.power(np.maximum(m, 0.0), 1.0 / p))
     for _ in range(30):
         ft = t + np.power(t, p) - m
         dft = 1.0 + p * np.power(np.maximum(t, 1e-300), p - 1.0)
@@ -647,20 +653,20 @@ def liouville_search(
     restarts: int = 10_000,
     steps: int = 1000,
     seed: int = 0,
-    norm_threshold: float = 1e-6,
 ) -> LiouvilleSearchReport:
     """Projected random search plus ascent for a nonzero function satisfying
     0 <= u <= bound and lap(u) >= u^p.
 
     Random starts are pushed upward (ascent on sum u) and repaired toward
     feasibility by capping each vertex at the root of t + t^p = (weighted
-    neighbor mean); every survivor is then checked against the exact premises
-    (zero tolerance). A counterexample is any exactly feasible function with
-    sup norm above ``norm_threshold``; the Liouville theorem predicts none.
+    neighbor mean); every row is then checked against the exact premises
+    (zero tolerance) by the kernel of :func:`check_liouville_premises`. A
+    counterexample is any exactly feasible function with sup norm above
+    ``LIOUVILLE_NORM_THRESHOLD``; the Liouville theorem predicts none.
     """
     _require_liouville_params(p, bound)
-    if restarts < 1 or steps < 1 or not np.isfinite(norm_threshold):
-        raise BadParamsError("need restarts >= 1, steps >= 1 and a finite norm_threshold")
+    if restarts < 1 or steps < 1:
+        raise BadParamsError("need restarts >= 1 and steps >= 1")
     n = g.n_vertices
     rng = np.random.default_rng(seed)
     pt = g.dense_transition().T.copy()
@@ -680,31 +686,19 @@ def liouville_search(
     for _ in range(60):
         np.minimum(u, _cap_root(u @ pt, p), out=u)
 
-    lap_approx = u @ pt - u
-    slack3 = lap_approx - np.power(u, p)
-    candidate_rows = np.flatnonzero(np.min(slack3, axis=1) >= -1e-9)
-
-    exact_feasible = 0
-    max_norm = 0.0
-    counterexample = None
-    for row in candidate_rows:
-        vf = VertexFunction(g.vertices, u[row])
-        report = check_liouville_premises(g, vf, p, bound, tol=0.0)
-        if report.passed:
-            exact_feasible += 1
-            sup = float(np.max(np.abs(u[row])))
-            max_norm = max(max_norm, sup)
-            if sup > norm_threshold and counterexample is None:
-                counterexample = vf.as_dict()
+    feasible = u[np.min(_premise_slacks(g, u, p, bound)[0], axis=1) >= 0.0]
+    sups = np.max(np.abs(feasible), axis=1)
+    large = np.flatnonzero(sups > LIOUVILLE_NORM_THRESHOLD)
+    counterexample = dict(zip(g.vertices, feasible[large[0]].tolist())) if len(large) else None
     return LiouvilleSearchReport(
         p=float(p),
         bound=float(bound),
         restarts=restarts,
         steps=steps,
         seed=seed,
-        norm_threshold=norm_threshold,
-        exact_feasible=exact_feasible,
-        max_feasible_sup_norm=max_norm,
+        norm_threshold=LIOUVILLE_NORM_THRESHOLD,
+        exact_feasible=len(feasible),
+        max_feasible_sup_norm=float(np.max(sups, initial=0.0)),
         counterexample=counterexample,
     )
 

@@ -140,13 +140,28 @@ class EvolutionTrace:
 
 @dataclass(frozen=True)
 class MaxPrincipleDiag:
-    """Signed per-step max/min envelopes of a heat run (recorded every step)."""
+    """Signed per-step max/min envelopes of a heat run (recorded every step).
+
+    ``first_violation_step`` is the first step k with max[k] > max[k-1] + tol
+    or min[k] < min[k-1] - tol, or None; ``monotone`` says there is none.
+    """
 
     max_values: tuple[float, ...]
     min_values: tuple[float, ...]
     tol: float
-    monotone: bool
-    first_violation_step: int | None = None
+
+    @property
+    def first_violation_step(self) -> int | None:
+        maxes, mins, tol = self.max_values, self.min_values, self.tol
+        return next(
+            (k for k in range(1, len(maxes))
+             if maxes[k] > maxes[k - 1] + tol or mins[k] < mins[k - 1] - tol),
+            None,
+        )
+
+    @property
+    def monotone(self) -> bool:
+        return self.first_violation_step is None
 
 
 def _implicit_stepper(g: WeightedGraph, matrix: "scipy.sparse.spmatrix", b, solve_tol: float):
@@ -239,19 +254,7 @@ def evolve_heat(
         return envelope(values), lambda v: envelope(step(v))
 
     final, trace = _evolve(g, cfg, EvolutionScheme.HEAT_IMPLICIT, "evolve_heat", start)
-    violation = next(
-        (k for k in range(1, len(maxes))
-         if maxes[k] > maxes[k - 1] + ENVELOPE_TOL or mins[k] < mins[k - 1] - ENVELOPE_TOL),
-        None,
-    )
-    diag = MaxPrincipleDiag(
-        max_values=tuple(maxes),
-        min_values=tuple(mins),
-        tol=ENVELOPE_TOL,
-        monotone=violation is None,
-        first_violation_step=violation,
-    )
-    return final, trace, diag
+    return final, trace, MaxPrincipleDiag(tuple(maxes), tuple(mins), ENVELOPE_TOL)
 
 
 def schrodinger_step(

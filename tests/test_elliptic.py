@@ -400,6 +400,38 @@ def test_chain_rejects_non_finite_p(p3):
             gc.keller_osserman_chain(p3, u, p, "a")
 
 
+def test_chain_rejects_non_finite_tol_and_bound():
+    # tol = inf or nan turned a premise violation into a revisit contradiction
+    g = gc.generate("path", n=5)
+    u = gc.VertexFunction(g.vertices, np.array([0.1, 0.2, 0.4, 0.8, 1.0]))
+    cert = gc.keller_osserman_chain(g, u, 1.0, "v0")
+    assert cert.outcome is gc.ChainOutcome.PREMISE_VIOLATION
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(gc.BadParamsError):
+            gc.keller_osserman_chain(g, u, 1.0, "v0", tol=bad)
+        with pytest.raises(gc.BadParamsError):
+            gc.keller_osserman_chain(g, u, 1.0, "v0", bound=bad)
+
+
+def test_chain_premise_slack_is_bitwise_exact():
+    # at its violation vertex x the chain reports laplacian(g, u)[x] - u[x]^p,
+    # bitwise; a per-vertex sum and a float power differed in the last bits
+    rng = np.random.default_rng(5)
+    sampler = lambda r, m: r.uniform(0.1, 3.0, m)
+    seen = 0
+    for seed in range(40):
+        g = gc.generate("gnp", n=15, p=0.4, seed=seed, weight_sampler=sampler)
+        u = gc.VertexFunction(g.vertices, rng.uniform(0.1, 2.0, g.n_vertices))
+        for p in (0.7, 2.0, 2.9):
+            cert = gc.keller_osserman_chain(g, u, p, g.vertices[0])
+            if cert.outcome is gc.ChainOutcome.PREMISE_VIOLATION:
+                seen += 1
+                x = g.index_of(cert.violation_vertex)
+                expected = gc.laplacian(g, u).values - np.power(u.values, p)
+                assert cert.premise_slack == expected[x]
+    assert seen > 0
+
+
 def test_chain_constant_premise_violation():
     g = gc.generate("gnp", n=12, p=0.4, seed=9)
     u = gc.VertexFunction.constant(g, 0.5)
@@ -483,22 +515,64 @@ def test_liouville_search_validation(k5):
             gc.liouville_search(k5, bad, 1.0, restarts=1, steps=1)
         with pytest.raises(gc.BadParamsError):
             gc.liouville_search(k5, 2.0, bad, restarts=1, steps=1)
-        with pytest.raises(gc.BadParamsError):
-            gc.liouville_search(k5, 2.0, 1.0, restarts=1, steps=1, norm_threshold=bad)
 
 
-def test_liouville_search_checks_every_candidate(monkeypatch):
-    calls = []
-    check = elliptic.check_liouville_premises
+def _row_verdicts(g, rows, p, bound):
+    return [
+        gc.check_liouville_premises(g, gc.VertexFunction(g.vertices, row), p, bound, tol=0.0).passed
+        for row in rows
+    ]
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return check(*args, **kwargs)
 
-    monkeypatch.setattr(elliptic, "check_liouville_premises", counting)
+def test_liouville_search_verdicts_match_the_premise_check(monkeypatch):
+    # every row the search checks gets the one-row check's verdict at tol = 0
+    batches = []
+    kernel = elliptic._premise_slacks
+
+    def spy(g, values, p, bound):
+        if values.ndim == 2:
+            batches.append(values.copy())
+        return kernel(g, values, p, bound)
+
+    monkeypatch.setattr(elliptic, "_premise_slacks", spy)
     g = gc.generate("cycle", n=25)
-    gc.liouville_search(g, 1.0, 1.0, restarts=600, steps=50, seed=3)
-    assert len(calls) == 600
+    for p in (0.5, 1.0, 2.0):
+        batches.clear()
+        report = gc.liouville_search(g, p, 1.0, restarts=200, steps=50, seed=3)
+        (rows,) = batches
+        verdicts = _row_verdicts(g, rows, p, 1.0)
+        assert report.exact_feasible == sum(verdicts)
+        feasible_sups = [float(np.max(np.abs(r))) for r, ok in zip(rows, verdicts) if ok]
+        assert report.max_feasible_sup_norm == max(feasible_sups, default=0.0)
+
+    # a mixed batch: zero passes, and so does a constant whose cube underflows;
+    # a constant 0.5 fails lap(u) >= u^p, and the others leave [0, bound]
+    n = g.n_vertices
+    rows = np.array([
+        np.zeros(n), np.full(n, 1e-200), np.full(n, 0.5),
+        np.r_[-1e-300, np.zeros(n - 1)], np.r_[2.0, np.zeros(n - 1)],
+    ])
+    batched = np.min(kernel(g, rows, 3.0, 1.0)[0], axis=1) >= 0.0
+    assert batched.tolist() == _row_verdicts(g, rows, 3.0, 1.0) == [True, True, False, False, False]
+
+
+def test_liouville_search_exactly_feasible_rows():
+    # at p = 0.5 every row is capped down to exactly 0, which passes at tol = 0
+    g = gc.generate("gnp", n=20, p=0.3, seed=42)
+    report = gc.liouville_search(g, 0.5, 1.0, restarts=300, steps=500, seed=3)
+    assert report.exact_feasible == 300
+    assert report.max_feasible_sup_norm == 0.0
+    assert report.counterexample is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_liouville_search_large_bound_fractional_p_no_overflow():
+    # m^(1/p) overflows for p < 1 and huge m, where the cap is m itself
+    g = gc.generate("cycle", n=6)
+    report = gc.liouville_search(g, 0.5, 1e160, restarts=20, steps=5, seed=1)
+    assert report.bound == 1e160
+    m = np.array([0.0, 0.25, 1.0, 1e160, 1e308])
+    assert np.all(np.isfinite(elliptic._cap_root(m, 0.5)))
 
 
 def test_non_finite_tol_rejected():

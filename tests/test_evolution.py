@@ -141,19 +141,24 @@ def test_check_parabolic_max_decaying_run(c3):
 
 def test_check_parabolic_max_flags_synthetic_violation():
     # a fabricated envelope whose interior step attains the global sup
-    diag = gc.MaxPrincipleDiag(
-        max_values=(1.0, 1.0, 0.5),
-        min_values=(0.0, 0.0, 0.0),
-        tol=1e-12,
-        monotone=True,
-        first_violation_step=None,
-    )
+    diag = gc.MaxPrincipleDiag(max_values=(1.0, 1.0, 0.5), min_values=(0.0, 0.0, 0.0), tol=1e-12)
+    assert diag.monotone
     report = gc.check_parabolic_max(diag)
     assert not report.passed
     assert report.info["interior_sup_violation"]
     assert report.info["violating_step"] == 1
     assert report.slack["interior_sup[1]"] < 0
     assert report.min_slack == min(report.slack.values())
+
+
+def test_max_principle_diag_derives_its_verdict():
+    # a rise or fall beyond tol is a violation; one within tol is not
+    flat = gc.MaxPrincipleDiag(max_values=(1.0, 1.0 + 1e-13), min_values=(0.0, -1e-13), tol=1e-12)
+    assert flat.monotone and flat.first_violation_step is None
+    rise = gc.MaxPrincipleDiag(max_values=(1.0, 0.9, 1.0), min_values=(0.0, 0.0, 0.0), tol=1e-12)
+    assert not rise.monotone and rise.first_violation_step == 2
+    fall = gc.MaxPrincipleDiag(max_values=(1.0, 1.0, 1.0), min_values=(0.0, -0.1, -0.2), tol=1e-12)
+    assert not fall.monotone and fall.first_violation_step == 1
 
 
 def test_check_parabolic_max_tiny_dt_spike_passes():
