@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BadParamsError, ComplexNotAllowedError
 from .graph import VertexFunction, WeightedGraph, require_same_domain
-from .serialize import json_dumps
+from .serialize import JsonRecord
 
 DEFAULT_TOL = 1e-10
 
@@ -90,7 +90,7 @@ class SlackView(Mapping):
 
 
 @dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(JsonRecord):
     """Per-vertex slack record for one inequality or identity check.
 
     ``slack`` is a read-only :class:`SlackView`: the slack values live in a
@@ -151,9 +151,6 @@ class CertificateReport:
                 k: dict(v) if isinstance(v, SlackView) else v for k, v in self.info.items()
             }
         return out
-
-    def to_json(self) -> str:
-        return json_dumps(self.to_json_dict())
 
 
 def _abs2(values: np.ndarray) -> np.ndarray:
@@ -251,8 +248,8 @@ def dirichlet_energy(g: WeightedGraph, u: VertexFunction) -> float:
     Equals <-lap u, u> in the degree-weighted inner product.
     """
     values = require_same_domain(g, u)
-    diff = values[g._edge_xi] - values[g._edge_yi]
-    return float(np.sum(g._edge_w * _abs2(diff)))
+    xi, yi, w = g._upper()
+    return float(np.sum(w * _abs2(values[xi] - values[yi])))
 
 
 def free_energy(g: WeightedGraph, u: VertexFunction) -> float:

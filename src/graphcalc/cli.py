@@ -10,7 +10,6 @@ import functools
 import hashlib
 import sys
 import time
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -56,26 +55,6 @@ from .serialize import write_json
 CHECK_KINDS = ("kato1", "kato2", "product", "gradient-estimate", "max-principle", "liouville")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command_line: str
-    seed: int | None
-    graph_digest: str | None
-    config: dict
-    version: str
-    wall_time_s: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command_line": self.command_line,
-            "seed": self.seed,
-            "graph_digest": self.graph_digest,
-            "config": self.config,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-        }
-
-
 def _digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -93,15 +72,15 @@ def _command_line(ctx: click.Context) -> str:
 
 
 def _emit_manifest(ctx, out_path, graph_path, seed, config, started) -> None:
-    manifest = RunManifest(
-        command_line=_command_line(ctx),
-        seed=seed,
-        graph_digest=_digest(graph_path) if graph_path else None,
-        config=config,
-        version=__version__,
-        wall_time_s=time.perf_counter() - started,
-    )
-    write_json(manifest.to_json_dict(), f"{out_path}.manifest.json")
+    manifest = {
+        "command_line": _command_line(ctx),
+        "seed": seed,
+        "graph_digest": _digest(graph_path) if graph_path else None,
+        "config": config,
+        "version": __version__,
+        "wall_time_s": time.perf_counter() - started,
+    }
+    write_json(manifest, f"{out_path}.manifest.json")
 
 
 def _guard(fn):

@@ -33,7 +33,7 @@ from .errors import (
     SingularSystemError,
 )
 from .graph import VertexFunction, WeightedGraph, d_constant, require_same_domain
-from .serialize import json_dumps
+from .serialize import JsonRecord
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class Potential:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(JsonRecord):
     """Shared nonlinear/linear solver knobs; `damping` is the fixed-point step size."""
 
     tol: float = 1e-12
@@ -87,32 +87,13 @@ class SolverConfig:
         except (TypeError, ValueError, AttributeError) as exc:
             raise BadParamsError(f"invalid solver configuration JSON: {exc}") from None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "max_iters": self.max_iters,
-            "damping": self.damping,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
-class SolveReport:
+class SolveReport(JsonRecord):
     converged: bool
     iterations: int
     final_residual: float
     damping_events: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "damping_events": self.damping_events,
-        }
-
-    def to_json(self) -> str:
-        return json_dumps(self.to_json_dict())
 
 
 # -- linear Schrodinger systems on truncations --------------------------------
@@ -348,8 +329,11 @@ def verify_gl_bound(g: WeightedGraph, u: VertexFunction, tol: float = 1e-9) -> C
     The bound is only claimed for solutions, so the residual of
     lap(u) + u (1 - |u|^2) must already be below ``tol``; otherwise
     :class:`NotASolutionError` is raised. Slack is 1 - |u(x)| + tol and the
-    report passes iff the minimum slack is nonnegative.
+    report passes iff the minimum slack is nonnegative. ``tol`` must be
+    finite and nonnegative.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise BadParamsError(f"tol must be nonnegative and finite, got {tol!r}")
     values = require_same_domain(g, u)
     res = float(np.max(np.abs(_gl_residual(g, values))))
     if res > tol:
@@ -475,7 +459,7 @@ class ChainOutcome(str, Enum):
 
 
 @dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(JsonRecord):
     """Greedy growth chain witnessing the Keller-Osserman dichotomy.
 
     Starting from x0 with rho = u(x0) > 0 and w = u / rho, each step moves to
@@ -486,33 +470,16 @@ class ChainCertificate:
     bound, or expose a vertex where the premise fails.
     """
 
+    outcome: ChainOutcome
     chain: tuple[str, ...]
     values: tuple[float, ...]
     increments: tuple[float, ...]
-    outcome: ChainOutcome
     rho: float
     p: float
     bound: float
     tol: float
     violation_vertex: str | None = None
     premise_slack: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outcome": self.outcome.value,
-            "chain": list(self.chain),
-            "values": list(self.values),
-            "increments": list(self.increments),
-            "rho": self.rho,
-            "p": self.p,
-            "bound": self.bound,
-            "tol": self.tol,
-            "violation_vertex": self.violation_vertex,
-            "premise_slack": self.premise_slack,
-        }
-
-    def to_json(self) -> str:
-        return json_dumps(self.to_json_dict())
 
 
 def keller_osserman_chain(
@@ -582,10 +549,10 @@ def keller_osserman_chain(
         raise RuntimeError("chain failed to reach a verdict within |X| steps")
 
     return ChainCertificate(
+        outcome=outcome,
         chain=tuple(g.vertices[i] for i in chain),
         values=tuple(chain_values),
         increments=tuple(increments),
-        outcome=outcome,
         rho=rho,
         p=float(p),
         bound=a,
@@ -599,7 +566,7 @@ LIOUVILLE_NORM_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
-class LiouvilleSearchReport:
+class LiouvilleSearchReport(JsonRecord):
     """Outcome of an attempted counterexample search for the Liouville claim."""
 
     p: float
@@ -616,18 +583,8 @@ class LiouvilleSearchReport:
     def found_counterexample(self) -> bool:
         return self.counterexample is not None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "bound": self.bound,
-            "restarts": self.restarts,
-            "steps": self.steps,
-            "seed": self.seed,
-            "norm_threshold": self.norm_threshold,
-            "exact_feasible": self.exact_feasible,
-            "max_feasible_sup_norm": self.max_feasible_sup_norm,
-            "counterexample": self.counterexample,
-        }
+
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 def _cap_root(m: np.ndarray, p: float) -> np.ndarray:
@@ -641,8 +598,15 @@ def _cap_root(m: np.ndarray, p: float) -> np.ndarray:
         t = np.minimum(m, np.power(np.maximum(m, 0.0), 1.0 / p))
     for _ in range(30):
         ft = t + np.power(t, p) - m
-        dft = 1.0 + p * np.power(np.maximum(t, 1e-300), p - 1.0)
-        t = np.clip(t - ft / dft, 0.0, None)
+        # The floor keeps 0^(p-1) finite for p < 1; where t^(p-1) still
+        # overflows (tiny p, subnormal t), dft = inf leaves t in place.
+        with np.errstate(over="ignore"):
+            dft = 1.0 + p * np.power(np.maximum(t, _SMALLEST_SUBNORMAL), p - 1.0)
+        t_next = np.clip(t - ft / dft, 0.0, None)
+        # Once the roots have converged, further sweeps only flip last bits.
+        if np.all(np.abs(t_next - t) <= 2.0 * np.spacing(t)):
+            return t_next
+        t = t_next
     return t
 
 
@@ -669,7 +633,11 @@ def liouville_search(
         raise BadParamsError("need restarts >= 1 and steps >= 1")
     n = g.n_vertices
     rng = np.random.default_rng(seed)
-    pt = g.dense_transition().T.copy()
+    # The transposed random-walk matrix, pt[y, x] = mu_xy / d_x, so that
+    # u @ pt gives every row's weighted neighbor means. A dense matmul is
+    # faster than the CSR kernel at the sizes the search runs on.
+    pt = np.zeros((n, n))
+    pt[g._ent_cols, g._ent_rows] = g._ent_coef
     u = rng.uniform(0.0, bound, (restarts, n))
     eta = 0.01 * bound
 
@@ -713,12 +681,9 @@ class MaxPrincipleOutcome(str, Enum):
 
 
 @dataclass(frozen=True)
-class MaxPrincipleResult:
+class MaxPrincipleResult(JsonRecord):
     outcome: MaxPrincipleOutcome
     vertex: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {"outcome": self.outcome.value, "vertex": self.vertex}
 
 
 def check_strong_max_principle(
@@ -755,23 +720,16 @@ def check_strong_max_principle(
 
 
 @dataclass(frozen=True)
-class SpectralPair:
+class SpectralPair(JsonRecord):
     """Eigenpair of -lap with the eigenvector normalized in the degree norm."""
 
     eigenvalue: float
-    eigenvector: VertexFunction
     residual: float
+    eigenvector: VertexFunction
 
     def __post_init__(self):
         if not (0.0 <= self.eigenvalue <= 2.0):
             raise ValueError(f"eigenvalue {self.eigenvalue!r} outside [0, 2]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalue": self.eigenvalue,
-            "residual": self.residual,
-            "eigenvector": self.eigenvector.as_dict(),
-        }
 
 
 def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[SpectralPair]:
@@ -830,8 +788,8 @@ def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[Spect
         pairs.append(
             SpectralPair(
                 eigenvalue=lam,
-                eigenvector=VertexFunction(g.vertices, phi),
                 residual=residual,
+                eigenvector=VertexFunction(g.vertices, phi),
             )
         )
     return pairs

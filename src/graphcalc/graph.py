@@ -45,12 +45,15 @@ class WeightedGraph:
     each vertex has degree d_x = sum of the weights of its incident edges.
     Self-loops, duplicate edges, and disconnected inputs are rejected at
     construction, so every instance satisfies d_x > 0.
+
+    The CSR arrays (``_row_ptr``, ``_ent_rows``, ``_ent_cols``, ``_ent_w``
+    and ``_ent_coef``, rows and columns ascending in vertex order) are the
+    only store of the edges; every other form is derived from them.
     """
 
     __slots__ = (
         "_vertices",
         "_index",
-        "_edges",
         "_degrees",
         "_weight_matrix",
         "_ent_rows",
@@ -58,15 +61,12 @@ class WeightedGraph:
         "_ent_coef",
         "_ent_w",
         "_row_ptr",
-        "_edge_xi",
-        "_edge_yi",
-        "_edge_w",
     )
 
     def __init__(self, edge_records: Iterable[tuple[str, str, float]]):
         seen: dict[tuple[str, str], int] = {}
         valid_ids: set[str] = set()
-        normalized: list[EdgeRecord] = []
+        weights: list[float] = []
         for record_no, (x, y, mu) in enumerate(edge_records):
             for v in (x, y):
                 if not (isinstance(v, str) and v in valid_ids):
@@ -84,28 +84,27 @@ class WeightedGraph:
                     f"record {record_no}: unordered pair {key!r} already seen at record {seen[key]}"
                 )
             seen[key] = record_no
-            normalized.append((key[0], key[1], mu))
-        if not normalized:
+            weights.append(mu)
+        if not seen:
             raise BadParamsError("a graph needs at least one edge")
 
-        # (x, y) pairs are unique, so the weights never take part in the order
-        normalized.sort()
         vertices = tuple(sorted(valid_ids))
         index = {v: i for i, v in enumerate(vertices)}
         n = len(vertices)
 
-        xi = np.fromiter((index[x] for x, _, _ in normalized), dtype=np.int64)
-        yi = np.fromiter((index[y] for _, y, _ in normalized), dtype=np.int64)
-        w = np.fromiter((mu for _, _, mu in normalized), dtype=np.float64)
+        # ``seen`` keeps insertion order, so its keys line up with ``weights``
+        xi = np.fromiter((index[x] for x, _ in seen), dtype=np.int64, count=len(seen))
+        yi = np.fromiter((index[y] for _, y in seen), dtype=np.int64, count=len(seen))
+        w = np.array(weights, dtype=np.float64)
 
-        # Each row holds its lower neighbours (edges (x, r), ascending in x
-        # because ``normalized`` is sorted) before its upper ones (edges
-        # (r, y), ascending in y); a stable sort by row keeps both runs, so
-        # every row's columns come out ascending.
-        ent_rows = np.concatenate([yi, xi])
-        order = np.argsort(ent_rows, kind="stable")
+        # Both orientations of every edge in row-major order, each row's
+        # columns ascending: (row, col) pairs are unique, so one sort on
+        # row * n + col orders them.
+        ent_rows = np.concatenate([xi, yi])
+        ent_cols = np.concatenate([yi, xi])
+        order = np.argsort(ent_rows * n + ent_cols)
         rows = ent_rows[order]
-        cols = np.concatenate([xi, yi])[order]
+        cols = ent_cols[order]
         data = np.concatenate([w, w])[order]
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
@@ -117,7 +116,6 @@ class WeightedGraph:
 
         self._vertices = vertices
         self._index = index
-        self._edges = tuple(normalized)
         self._degrees = degrees
         self._weight_matrix = None
         self._ent_rows = rows
@@ -125,9 +123,6 @@ class WeightedGraph:
         self._ent_coef = data / degrees[rows]
         self._ent_w = data
         self._row_ptr = row_ptr
-        self._edge_xi = xi
-        self._edge_yi = yi
-        self._edge_w = w
         for arr in (
             self._degrees,
             self._ent_rows,
@@ -135,9 +130,6 @@ class WeightedGraph:
             self._ent_coef,
             self._ent_w,
             self._row_ptr,
-            self._edge_xi,
-            self._edge_yi,
-            self._edge_w,
         ):
             arr.setflags(write=False)
 
@@ -171,10 +163,23 @@ class WeightedGraph:
     def vertices(self) -> tuple[str, ...]:
         return self._vertices
 
+    def _upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and weight arrays of the CSR entries above the diagonal:
+        one entry per edge, in canonical edge order."""
+        upper = self._ent_cols > self._ent_rows
+        return self._ent_rows[upper], self._ent_cols[upper], self._ent_w[upper]
+
     @property
     def edges(self) -> tuple[EdgeRecord, ...]:
-        """Canonical edge list: (x, y, mu) with x < y, sorted lexicographically."""
-        return self._edges
+        """Canonical edge list: (x, y, mu) with x < y, sorted lexicographically.
+
+        Built from the CSR arrays on each call.
+        """
+        xi, yi, w = self._upper()
+        v = self._vertices
+        return tuple(
+            (v[i], v[j], mu) for i, j, mu in zip(xi.tolist(), yi.tolist(), w.tolist())
+        )
 
     @property
     def n_vertices(self) -> int:
@@ -182,7 +187,7 @@ class WeightedGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return len(self._ent_cols) // 2
 
     @property
     def degrees(self) -> np.ndarray:
@@ -221,20 +226,18 @@ class WeightedGraph:
         cols = self._ent_cols[self._row_ptr[i] : self._row_ptr[i + 1]]
         return tuple(self._vertices[j] for j in cols)
 
-    def dense_transition(self) -> np.ndarray:
-        """Dense random-walk matrix P with P[x, y] = mu_xy / d_x."""
-        n = len(self._vertices)
-        p = np.zeros((n, n))
-        p[self._ent_rows, self._ent_cols] = self._ent_coef
-        return p
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return (
+            self._vertices == other._vertices
+            and np.array_equal(self._row_ptr, other._row_ptr)
+            and np.array_equal(self._ent_cols, other._ent_cols)
+            and np.array_equal(self._ent_w, other._ent_w)
+        )
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
+        return hash((self._vertices, self._ent_cols.tobytes(), self._ent_w.tobytes()))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
@@ -474,9 +477,16 @@ def random_vertex_function(
 
 def write_edge_list(g: WeightedGraph, path) -> None:
     """Write the canonical edge list: one `<x> <y> <mu>` line per edge."""
+    xi, yi, w = g._upper()
+    v = g.vertices
+    # Every graph `gen` writes has one weight, so a weight is formatted
+    # only where it differs from the previous line's.
+    last, text = None, ""
     with open(path, "w", encoding="utf-8") as fh:
-        for x, y, mu in g.edges:
-            fh.write(f"{x} {y} {fmt_float(mu)}\n")
+        for i, j, mu in zip(xi.tolist(), yi.tolist(), w.tolist()):
+            if mu != last:
+                last, text = mu, fmt_float(mu)
+            fh.write(f"{v[i]} {v[j]} {text}\n")
 
 
 def read_edge_list(path) -> WeightedGraph:

@@ -5,8 +5,10 @@ enough to round-trip any IEEE double exactly, so identical inputs produce
 byte-identical files.
 """
 
+import dataclasses
 import json
 import math
+from enum import Enum
 
 import numpy as np
 
@@ -80,3 +82,25 @@ def json_dumps(obj, indent: int = 2) -> str:
 def write_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_dumps(obj))
+
+
+def _field_json(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    if hasattr(value, "as_dict"):  # a VertexFunction; graph.py imports this module
+        return value.as_dict()
+    return value
+
+
+class JsonRecord:
+    """Mixin for dataclass records: the JSON object holds every field, in
+    declaration order, with enums by value, tuples as lists and vertex
+    functions as ``{vertex: value}`` dicts."""
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _field_json(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+    def to_json(self) -> str:
+        return json_dumps(self.to_json_dict())

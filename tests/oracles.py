@@ -156,3 +156,30 @@ def cn_final_ref(g, u0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     for _ in range(steps):
         u = np.linalg.solve(a, b @ u)
     return u
+
+
+def cap_root_ref(m: float, p: float) -> tuple[float, float]:
+    """Two adjacent doubles lo < hi with t + t^p - m <= 0 at lo and >= 0 at hi,
+    where t + t^p = m (m >= 0) has its root; (0, 0) for m = 0.
+
+    Bisection over the bit patterns of the nonnegative doubles, whose order
+    as int64 is their order as floats. The bracket starts at [0, m] (or at
+    [0, 2 m^(1/p)] for p > 1, which keeps t^p finite).
+    """
+    def as_float(bits: int) -> float:
+        return float(np.int64(bits).view(np.float64))
+
+    def f(t: float) -> float:
+        return t + t**p - m
+
+    if m == 0.0:
+        return 0.0, 0.0
+    hi_t = min(m, 2.0 * m ** (1.0 / p)) if p > 1.0 else m
+    lo, hi = 0, int(np.float64(hi_t).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(as_float(mid)) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return as_float(lo), as_float(hi)

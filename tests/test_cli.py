@@ -40,6 +40,9 @@ def test_gen_complete_writes_edges(runner, tmp_path):
     g = gc.read_edge_list(out)
     assert g.n_edges == 3
     manifest = json.loads((tmp_path / "k3.edges.manifest.json").read_text())
+    assert list(manifest) == [
+        "command_line", "seed", "graph_digest", "config", "version", "wall_time_s"
+    ]
     assert manifest["version"] == gc.__version__
     assert manifest["graph_digest"] == hashlib.sha256(out.read_bytes()).hexdigest()
     assert manifest["wall_time_s"] >= 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import graphcalc as gc
 from graphcalc import elliptic
 from conftest import family_corpus
-from oracles import eigenvalues_ref
+from oracles import cap_root_ref, eigenvalues_ref
 
 
 # -- linear Schrodinger systems ---------------------------------------------------
@@ -213,6 +214,21 @@ def test_gl_bound_rejects_non_solutions(k3):
     two = gc.VertexFunction.constant(k3, 2.0)
     with pytest.raises(gc.NotASolutionError):
         gc.verify_gl_bound(k3, two, tol=1e-9)
+
+
+def test_gl_bound_rejects_bad_tol():
+    # tol = inf passed a non-solution with residual 343, and tol = -1 called
+    # the exact solution u = 1 a non-solution
+    g = gc.generate("path", n=5)
+    u = gc.VertexFunction(g.vertices, np.array([5.0, -3.0, 2.0, 0.0, 7.0]))
+    one = gc.VertexFunction.constant(g, 1.0)
+    with pytest.raises(gc.NotASolutionError):
+        gc.verify_gl_bound(g, u)
+    assert gc.verify_gl_bound(g, one).passed
+    for bad in (float("inf"), float("nan"), -1.0):
+        for v in (u, one):
+            with pytest.raises(gc.BadParamsError):
+                gc.verify_gl_bound(g, v, tol=bad)
 
 
 # -- sub-solutions ---------------------------------------------------------------------
@@ -575,6 +591,19 @@ def test_liouville_search_large_bound_fractional_p_no_overflow():
     assert np.all(np.isfinite(elliptic._cap_root(m, 0.5)))
 
 
+def test_cap_root_matches_bisection_reference():
+    # The root's condition number is at most max(1, 1/p), so an error of
+    # about one ulp in t + t^p - m moves it by up to max(1, 1/p) ulps; allow
+    # twice that outside the reference bracket.
+    m = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 121)])
+    for p in (0.3, 0.5, 0.7, 1.3, 1.5, 2.5, 3.0, 4.0, 7.0, 11.0):
+        got = elliptic._cap_root(m, p)
+        slack = 2.0 * max(1.0, 1.0 / p)
+        for mi, t in zip(m.tolist(), got.tolist()):
+            lo, hi = cap_root_ref(mi, p)
+            assert lo - slack * np.spacing(lo) <= t <= hi + slack * np.spacing(hi), (p, mi)
+
+
 def test_non_finite_tol_rejected():
     # at tol = inf a spike passed as a sub-solution and as a constant, and at
     # tol = nan a correct Kato input failed both reports
@@ -706,3 +735,57 @@ def test_spectral_pair_rejects_out_of_range(k3):
         gc.SpectralPair(eigenvalue=2.5, eigenvector=phi, residual=0.0)
     with pytest.raises(ValueError):
         gc.SpectralPair(eigenvalue=-0.1, eigenvector=phi, residual=0.0)
+
+
+# -- result records ------------------------------------------------------------------
+
+
+def _records():
+    g = gc.generate("gnp", n=9, p=0.5, seed=2, weight_sampler=lambda r, m: r.uniform(0.2, 3.0, m))
+    path4 = gc.build_graph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)])
+    growth = gc.VertexFunction.from_dict(path4, {"a": 1.0, "b": 4.0, "c": 15.0, "d": 56.0})
+    p3 = gc.build_graph([("a", "b", 1.0), ("b", "c", 1.0)])
+    init = gc.random_vertex_function(g, np.random.default_rng(4), scale=2.0)
+    _, gl_report = gc.solve_ginzburg_landau(g, init, gc.SolverConfig(tol=1e-10))
+    f = gc.VertexFunction(g.vertices, np.random.default_rng(5).uniform(-1.0, 1.0, g.n_vertices))
+    _, linear_report = gc.solve_linear_schrodinger(g, gc.Potential.zero(g), f, {g.vertices[0]: 0.5})
+    spike = gc.VertexFunction(g.vertices, np.eye(g.n_vertices)[3])
+    return {
+        "solver_config": gc.SolverConfig(tol=1e-9, max_iters=500, damping=0.5, seed=3),
+        "solver_config_default": gc.SolverConfig(),
+        "solve_report_gl": gl_report,
+        "solve_report_linear": linear_report,
+        "chain_escaped_bound": gc.keller_osserman_chain(path4, growth, 1.0, "a", bound=10.0),
+        # the input of test_chain_plateau_revisit
+        "chain_revisit_contradiction": gc.keller_osserman_chain(
+            p3, gc.VertexFunction.constant(p3, 1e-13), 2.0, "b", tol=1e-12
+        ),
+        "chain_premise_violation": gc.keller_osserman_chain(path4, growth, 1.0, "a", bound=100.0),
+        "liouville_search": gc.liouville_search(g, 0.5, 1.0, restarts=40, steps=300, seed=1),
+        "max_principle_not_subharmonic": gc.check_strong_max_principle(g, spike),
+        "max_principle_constant": gc.check_strong_max_principle(g, gc.VertexFunction.constant(g, 2.0)),
+        "spectral_pair": gc.spectrum_smallest(g, 2)[1],
+    }
+
+
+# SHA-256 of each record's to_json(), recorded when every record listed its
+# JSON fields by hand
+RECORD_SHA256 = {
+    "solver_config": "2a1beb420135f79ed092ccf0f940f8664c07cb3ea44f8579addfa1e988e8dbc6",
+    "solver_config_default": "e8a6bdab6b8b57848c6c1d1093be518bc081ef21ac4712f7fee4c91b41aedf1d",
+    "solve_report_gl": "e54c7860c85ccf3d85149ae4d8312357badab99e1edc30a745ac852eea6f1c6b",
+    "solve_report_linear": "f2449d1c9c1fef5a2034977f913f331551a21f2d5078c5160dc5c02da6cc7b43",
+    "chain_escaped_bound": "416b69b4e55cca1c87cb86953cf4c959322086f71b28b84bf0254320eecabbb7",
+    "chain_revisit_contradiction": "ca3652665e34d202cf4111ea30118ae40c276e784c1d34e9509595c523b30c93",
+    "chain_premise_violation": "5394d75a61f48902078d90c45d0fdda9ffcc90385d079c77d91b1ac083043422",
+    "liouville_search": "24e9683b2d591ebd44a94f882eee25ca9ca19bf939dd4ada682815874478b8c9",
+    "max_principle_not_subharmonic": "6ea0ce3035ffdf9d2221d096d2a01058dd2e536eba8b25892708cff46208a634",
+    "max_principle_constant": "537bc3f1f0a8187f8f8d461846c5d1c2fd5fd8ac6411af6fcbb65c1bb49ce2d4",
+    "spectral_pair": "87d7c1459565a2925497a6f6b77f5c4b2cd5a564bb44f67fdd40536e02d2ea0d",
+}
+
+
+def test_record_json_matches_recorded_bytes():
+    for name, record in _records().items():
+        text = record.to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == RECORD_SHA256[name], name

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import graphcalc as gc
+from graphcalc.serialize import fmt_float
 from conftest import family_corpus
 from oracles import construction_ref, d_constant_ref, degrees_ref
 
@@ -121,7 +124,7 @@ def _random_records(rng, sizes, max_extra):
     return [records[k] for k in rng.permutation(len(records))]
 
 
-def _assert_matches_reference(records, dense=True):
+def _assert_matches_reference(records):
     g = gc.build_graph(records)
     ref = construction_ref(records)
     assert ref["disconnected"] is None
@@ -137,9 +140,6 @@ def _assert_matches_reference(records, dense=True):
         (g.weight_matrix.indptr, ref["weights"].indptr),
     ):
         assert _same_bits(got, want)
-    if dense:
-        want = ref["weights"].toarray() / ref["degrees"][:, None]
-        assert _same_bits(g.dense_transition(), want)
 
 
 def test_construction_matches_scipy_reference():
@@ -157,7 +157,7 @@ def test_construction_randomly_labelled_long_path():
     names = [f"v{label}" for label in rng.permutation(n)]
     records = [(names[i], names[i + 1], float(rng.uniform(0.1, 5.0))) for i in range(n - 1)]
     records = [records[k] for k in rng.permutation(n - 1)]
-    _assert_matches_reference(records, dense=False)
+    _assert_matches_reference(records)
 
 
 def test_disconnected_components_match_scipy_reference():
@@ -215,6 +215,18 @@ def test_gnp_deterministic_for_seed():
     assert g1 == g2
     g3 = gc.generate("gnp", n=20, p=0.3, seed=43)
     assert g1 != g3
+
+
+def test_equality_and_hash_ignore_record_order():
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        records = _random_records(rng, [int(rng.integers(2, 30))], max_extra=20)
+        shuffled = [records[k] for k in rng.permutation(len(records))]
+        g1, g2 = gc.build_graph(records), gc.build_graph(shuffled)
+        assert g1 == g2 and hash(g1) == hash(g2)
+        x, y, mu = records[0]
+        g3 = gc.build_graph([(x, y, 2.0 * mu)] + records[1:])
+        assert g3.vertices == g1.vertices and g3 != g1
 
 
 def _gnp_loop_ref(n, p, seed):
@@ -333,6 +345,31 @@ def test_edge_list_round_trip(tmp_path):
         gc.write_edge_list(g, path)
         g2 = gc.read_edge_list(path)
         assert g2 == g
+
+
+# SHA-256 of write_edge_list's bytes, recorded when the graph still kept a
+# sorted tuple of edge records
+EDGE_LIST_SHA256 = {
+    "gnp_weighted": "fb43d9272b2d59ecadcf674ebc4eff4de8f400a4944045397e28e7bacebc89bf",
+    "random_labels": "b33af84384ce569347f4a0010772671df44a58872408957c00d18818dc4ea9f2",
+}
+
+
+def test_edge_list_bytes_match_recorded(tmp_path):
+    sampler = lambda r, m: r.uniform(0.1, 5.0, m)
+    graphs = {
+        "gnp_weighted": gc.generate("gnp", n=30, p=0.3, seed=7, weight_sampler=sampler),
+        # unpadded labels, so string order differs from numeric order
+        "random_labels": gc.build_graph(
+            _random_records(np.random.default_rng(23), [30], max_extra=40)
+        ),
+    }
+    for name, g in graphs.items():
+        path = tmp_path / f"{name}.edges"
+        gc.write_edge_list(g, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == EDGE_LIST_SHA256[name], name
+        lines = path.read_text().splitlines()
+        assert lines == [f"{x} {y} {fmt_float(mu)}" for x, y, mu in g.edges]
 
 
 def test_edge_list_comments_and_blanks(tmp_path):
