@@ -124,30 +124,34 @@ def cmd_gen(ctx, family, n, rows, cols, p, weight, seed, out):
 
 
 def _run_trial(kind, g, seed, trial, tol) -> tuple:
-    """One check trial on its own stream: (passed, min slack or outcome, vertex)."""
+    """One check trial on its own stream: (passed, min slack or outcome, report).
+
+    The report is the trial's worst certificate report (None for
+    max-principle), so the caller can name its worst vertex.
+    """
     rng = np.random.default_rng([seed, trial])
     if kind == "kato1":
         u = random_vertex_function(g, rng, complex_values=trial % 2 == 1, zero_prob=0.1)
         report = check_kato1(g, u, tol)
-        return (report.passed, report.min_slack, report.worst_vertex())
+        return (report.passed, report.min_slack, report)
     elif kind == "kato2":
         u = random_vertex_function(g, rng, zero_prob=0.1)
         rep_abs, rep_pos = check_kato2(g, u, tol)
         worst = rep_abs if rep_abs.min_slack <= rep_pos.min_slack else rep_pos
-        return (rep_abs.passed and rep_pos.passed, worst.min_slack, worst.worst_vertex())
+        return (rep_abs.passed and rep_pos.passed, worst.min_slack, worst)
     elif kind == "product":
         u = random_vertex_function(g, rng, complex_values=trial % 2 == 1, zero_prob=0.1)
         report = check_product_rule(g, u, tol)
-        return (report.passed, report.min_slack, report.worst_vertex())
+        return (report.passed, report.min_slack, report)
     elif kind == "gradient-estimate":
         u = random_vertex_function(g, rng, zero_prob=0.1)
         u = VertexFunction(g.vertices, np.abs(u.values))
         report = verify_gradient_estimate(g, u, tol)
-        return (report.passed, report.min_slack, report.worst_vertex())
+        return (report.passed, report.min_slack, report)
     elif kind == "max-principle":
         u = random_vertex_function(g, rng, zero_prob=0.1)
         outcome = check_strong_max_principle(g, u, tol)
-        return (outcome.outcome is not MaxPrincipleOutcome.VIOLATION, outcome.outcome.value, outcome.vertex)
+        return (outcome.outcome is not MaxPrincipleOutcome.VIOLATION, outcome.outcome.value, None)
     else:  # pragma: no cover - guarded by CHECK_KINDS
         raise BadParamsError(f"unknown check kind {kind!r}")
 
@@ -189,24 +193,27 @@ def cmd_check(ctx, kind, graph_path, trials, seed, tol, p_exponent, bound, steps
         report_obj["pass"] = all_pass
         report_obj["search"] = search.to_json_dict()
     else:
-        ordered = [_run_trial(kind, g, seed, t, tol) for t in range(trials)]
-        all_pass = all(r[0] for r in ordered)
+        all_pass = True
+        counts: dict[str, int] = {}
+        # the first trial with the smallest finite min slack, and its report
+        worst_trial, worst_slack, worst_report = None, None, None
+        for t in range(trials):
+            passed, value, report = _run_trial(kind, g, seed, t, tol)
+            all_pass = all_pass and passed
+            if kind == "max-principle":
+                counts[value] = counts.get(value, 0) + 1
+            elif np.isfinite(value) and (worst_trial is None or value < worst_slack):
+                worst_trial, worst_slack, worst_report = t, value, report
+            del report  # between trials only the worst report is held
         report_obj["pass"] = all_pass
         if kind == "max-principle":
-            counts: dict[str, int] = {}
-            for _, outcome, _ in ordered:
-                counts[outcome] = counts.get(outcome, 0) + 1
             report_obj["outcomes"] = dict(sorted(counts.items()))
         else:
-            slacks = [r[1] for r in ordered if np.isfinite(r[1])]
-            worst_idx = (
-                int(np.argmin([r[1] if np.isfinite(r[1]) else np.inf for r in ordered]))
-                if slacks
-                else None
+            report_obj["min_slack"] = worst_slack
+            report_obj["worst_trial"] = worst_trial
+            report_obj["worst_vertex"] = (
+                worst_report.worst_vertex() if worst_report is not None else None
             )
-            report_obj["min_slack"] = min(slacks) if slacks else None
-            report_obj["worst_trial"] = worst_idx
-            report_obj["worst_vertex"] = ordered[worst_idx][2] if worst_idx is not None else None
 
     write_json(report_obj, out)
     _emit_manifest(ctx, out, graph_path, seed, {"kind": kind, "trials": trials, "tol": tol}, started)

@@ -6,7 +6,6 @@ everywhere else in the package, so repeated runs are bitwise reproducible.
 """
 
 import math
-import sys
 from collections.abc import Callable, Iterable, Mapping
 
 import numpy as np
@@ -38,6 +37,104 @@ def _validate_vertex_id(v) -> str:
     return v
 
 
+def _invalid_ids(names: list) -> np.ndarray:
+    """Mask of the names that are not valid vertex ids, one check per name."""
+    # One scan settles the common case: join rejects a non-string, and the
+    # joined ids split into one piece only if none has whitespace.
+    try:
+        joined = "".join(names)
+    except TypeError:
+        joined = None
+    if joined is not None and all(names) and joined.split() == [joined]:
+        return np.zeros(len(names), dtype=bool)
+    return np.fromiter(
+        (not (isinstance(v, str) and v.split() == [v]) for v in names),
+        dtype=bool,
+        count=len(names),
+    )
+
+
+def _raise_record_error(record_no: int, record, seen_at: int | None = None):
+    """Raise the error of a bad record, testing it the way a record is read:
+    its shape, both vertex ids, then self-loop, weight and repeated pair
+    (first seen at record ``seen_at``)."""
+    try:
+        x, y, mu = record
+    except (TypeError, ValueError):
+        raise BadParamsError(
+            f"record {record_no}: expected an (x, y, mu) triple, got {record!r}"
+        ) from None
+    _validate_vertex_id(x)
+    _validate_vertex_id(y)
+    if x == y:
+        raise SelfLoopError(f"record {record_no}: self-loop at vertex {x!r}")
+    try:
+        mu = float(mu)
+    except (TypeError, ValueError, OverflowError):
+        raise NonPositiveWeightError(
+            f"record {record_no}: edge ({x!r}, {y!r}) has weight {mu!r}, "
+            "which does not convert to a float"
+        ) from None
+    if not math.isfinite(mu) or mu <= 0.0:
+        raise NonPositiveWeightError(
+            f"record {record_no}: edge ({x!r}, {y!r}) has non-positive weight {mu!r}"
+        )
+    key = (x, y) if x < y else (y, x)
+    raise DuplicateEdgeError(
+        f"record {record_no}: unordered pair {key!r} already seen at record {seen_at}"
+    )
+
+
+def _check_records(names, xi, yi, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return the index and weight arrays of the records
+    ``(names[xi[k]], names[yi[k]], w[k])``, or raise the error of the first
+    bad one.
+
+    A record is bad if a vertex id is invalid, it is a self-loop, its weight
+    is not finite and positive, or it repeats the unordered pair of an
+    earlier record. ``names`` must be distinct, so equal names mean equal
+    indices.
+    """
+    xi = np.asarray(xi, dtype=np.int64)
+    yi = np.asarray(yi, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    bad_id = _invalid_ids(names)
+    pair = np.minimum(xi, yi) * len(names) + np.maximum(xi, yi)
+    # a stable sort lists each pair's records in record order, so every
+    # record after the first of its pair follows an equal key
+    order = np.argsort(pair, kind="stable")
+    repeat = np.zeros(len(pair), dtype=bool)
+    repeat[order[1:]] = pair[order[1:]] == pair[order[:-1]]
+    bad = bad_id[xi] | bad_id[yi] | (xi == yi) | ~(np.isfinite(w) & (w > 0.0)) | repeat
+    if bad.any():
+        k = int(bad.argmax())
+        seen_at = int(np.flatnonzero(pair[:k] == pair[k])[0]) if repeat[k] else None
+        _raise_record_error(k, (names[xi[k]], names[yi[k]], float(w[k])), seen_at)
+    return xi, yi, w
+
+
+def _records_to_arrays(edge_records) -> tuple[list, list[int], list[int], list[float]]:
+    """Distinct vertex names in order of appearance, plus the index and weight
+    lists of ``(x, y, mu)`` records."""
+    ids: dict = {}
+    xi: list[int] = []
+    yi: list[int] = []
+    w: list[float] = []
+    for record_no, record in enumerate(edge_records):
+        try:
+            x, y, mu = record
+            i, j, mu = ids.setdefault(x, len(ids)), ids.setdefault(y, len(ids)), float(mu)
+        except (TypeError, ValueError, OverflowError):
+            # not a triple, an unhashable id, or a weight float() rejects:
+            # the records before this one decide first
+            _check_records(list(ids), xi, yi, w)
+            _raise_record_error(record_no, record)
+        xi.append(i)
+        yi.append(j)
+        w.append(mu)
+    return list(ids), xi, yi, w
+
+
 class WeightedGraph:
     """Immutable finite simple connected graph with positive symmetric edge weights.
 
@@ -64,45 +161,40 @@ class WeightedGraph:
     )
 
     def __init__(self, edge_records: Iterable[tuple[str, str, float]]):
-        seen: dict[tuple[str, str], int] = {}
-        valid_ids: set[str] = set()
-        weights: list[float] = []
-        for record_no, (x, y, mu) in enumerate(edge_records):
-            for v in (x, y):
-                if not (isinstance(v, str) and v in valid_ids):
-                    valid_ids.add(_validate_vertex_id(v))
-            if x == y:
-                raise SelfLoopError(f"record {record_no}: self-loop at vertex {x!r}")
-            mu = float(mu)
-            if not math.isfinite(mu) or mu <= 0.0:
-                raise NonPositiveWeightError(
-                    f"record {record_no}: edge ({x!r}, {y!r}) has non-positive weight {mu!r}"
-                )
-            key = (x, y) if x < y else (y, x)
-            if key in seen:
-                raise DuplicateEdgeError(
-                    f"record {record_no}: unordered pair {key!r} already seen at record {seen[key]}"
-                )
-            seen[key] = record_no
-            weights.append(mu)
-        if not seen:
+        self._build(*_records_to_arrays(edge_records))
+
+    @classmethod
+    def _from_arrays(cls, names, xi, yi, w) -> "WeightedGraph":
+        """Build the graph of the records ``(names[xi[k]], names[yi[k]], w[k])``.
+
+        This is the one construction path: every generator, the edge-list
+        reader and the record constructor end here. ``names`` are distinct,
+        and each occurs in some record.
+        """
+        g = cls.__new__(cls)
+        g._build(names, xi, yi, w)
+        return g
+
+    def _build(self, names, xi, yi, w) -> None:
+        xi, yi, w = _check_records(names, xi, yi, w)
+        if not len(w):
             raise BadParamsError("a graph needs at least one edge")
 
-        vertices = tuple(sorted(valid_ids))
-        index = {v: i for i, v in enumerate(vertices)}
-        n = len(vertices)
-
-        # ``seen`` keeps insertion order, so its keys line up with ``weights``
-        xi = np.fromiter((index[x] for x, _ in seen), dtype=np.int64, count=len(seen))
-        yi = np.fromiter((index[y] for _, y in seen), dtype=np.int64, count=len(seen))
-        w = np.array(weights, dtype=np.float64)
+        # canonical vertex order, and each name's position in it
+        n = len(names)
+        perm = sorted(range(n), key=names.__getitem__)
+        vertices = tuple(map(names.__getitem__, perm))
+        rank = np.empty(n, dtype=np.int64)
+        rank[perm] = np.arange(n)
+        xi, yi = rank[xi], rank[yi]
 
         # Both orientations of every edge in row-major order, each row's
         # columns ascending: (row, col) pairs are unique, so one sort on
-        # row * n + col orders them.
+        # row * n + col orders them. Records mostly come in sorted runs,
+        # which the stable sort (a merge sort) is quickest on.
         ent_rows = np.concatenate([xi, yi])
         ent_cols = np.concatenate([yi, xi])
-        order = np.argsort(ent_rows * n + ent_cols)
+        order = np.argsort(ent_rows * n + ent_cols, kind="stable")
         rows = ent_rows[order]
         cols = ent_cols[order]
         data = np.concatenate([w, w])[order]
@@ -115,7 +207,8 @@ class WeightedGraph:
         self._check_connected(vertices, xi, yi)
 
         self._vertices = vertices
-        self._index = index
+        # vertex -> position, built on the first lookup
+        self._index = None
         self._degrees = degrees
         self._weight_matrix = None
         self._ent_rows = rows
@@ -213,6 +306,8 @@ class WeightedGraph:
         return self._weight_matrix
 
     def index_of(self, vertex: str) -> int:
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self._vertices)}
         try:
             return self._index[vertex]
         except KeyError:
@@ -250,7 +345,9 @@ def build_graph(edge_records: Iterable[tuple[str, str, float]]) -> WeightedGraph
     ----------
     edge_records : iterable of (x, y, mu)
         Vertex id pairs with positive weights. Self-loops, repeated unordered
-        pairs, non-positive weights, and disconnected inputs raise.
+        pairs, non-positive weights, and disconnected inputs raise, and so do
+        a record that is not a triple and a weight ``float()`` rejects. The
+        first bad record decides the error.
     """
     return WeightedGraph(edge_records)
 
@@ -357,16 +454,16 @@ def _vertex_names(n: int, prefix: str = "v") -> list[str]:
     return [f"{prefix}{i:0{width}d}" for i in range(n)]
 
 
-def _apply_weights(pairs, weight, weight_sampler, rng):
+def _edge_weights(m: int, weight, weight_sampler, rng) -> np.ndarray:
     if weight_sampler is not None:
-        w = np.asarray(weight_sampler(rng, len(pairs)), dtype=np.float64)
-        if w.shape != (len(pairs),):
+        w = np.asarray(weight_sampler(rng, m), dtype=np.float64)
+        if w.shape != (m,):
             raise BadParamsError("weight sampler must return one weight per edge")
-        return [(x, y, float(wi)) for (x, y), wi in zip(pairs, w)]
+        return w
     weight = float(weight)
     if not np.isfinite(weight) or weight <= 0:
         raise BadParamsError(f"uniform edge weight must be positive, got {weight!r}")
-    return [(x, y, weight) for x, y in pairs]
+    return np.full(m, weight)
 
 
 def generate(
@@ -391,30 +488,37 @@ def generate(
         if rows is None or cols is None or rows < 2 or cols < 2:
             raise BadParamsError("grid2d requires rows >= 2 and cols >= 2")
         wr, wc = len(str(rows - 1)), len(str(cols - 1))
-        name = [[f"r{i:0{wr}d}c{j:0{wc}d}" for j in range(cols)] for i in range(rows)]
-        pairs = []
-        for i in range(rows):
-            for j in range(cols):
-                if j + 1 < cols:
-                    pairs.append((name[i][j], name[i][j + 1]))
-                if i + 1 < rows:
-                    pairs.append((name[i][j], name[i + 1][j]))
-        return build_graph(_apply_weights(pairs, weight, weight_sampler, rng))
+        heads = [f"r{i:0{wr}d}" for i in range(rows)]
+        tails = [f"c{j:0{wc}d}" for j in range(cols)]
+        names = [head + tail for head in heads for tail in tails]
+        # Vertex i * cols + j is (i, j). In row-major vertex order each
+        # vertex has a record to its right neighbor, then one to the
+        # neighbor below, where those exist.
+        v = np.arange(rows * cols).reshape(rows, cols)
+        right = np.broadcast_to(np.arange(cols) < cols - 1, (rows, cols))
+        down = np.broadcast_to((np.arange(rows) < rows - 1)[:, None], (rows, cols))
+        keep = np.stack([right, down], axis=2).ravel()
+        xi = np.repeat(v.ravel(), 2)[keep]
+        yi = np.stack([v + 1, v + cols], axis=2).ravel()[keep]
+        return WeightedGraph._from_arrays(
+            names, xi, yi, _edge_weights(len(xi), weight, weight_sampler, rng)
+        )
 
     if n is None or n < 2:
         raise BadParamsError(f"family {family!r} requires n >= 2, got {n!r}")
     names = _vertex_names(n)
 
     if family == "path":
-        pairs = [(names[i], names[i + 1]) for i in range(n - 1)]
+        xi, yi = np.arange(n - 1), np.arange(1, n)
     elif family == "cycle":
         if n < 3:
             raise BadParamsError("cycle requires n >= 3")
-        pairs = [(names[i], names[(i + 1) % n]) for i in range(n)]
+        xi = np.arange(n)
+        yi = (xi + 1) % n
     elif family == "complete":
-        pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+        xi, yi = np.triu_indices(n, 1)
     elif family == "star":
-        pairs = [(names[0], names[i]) for i in range(1, n)]
+        xi, yi = np.zeros(n - 1, dtype=np.int64), np.arange(1, n)
     elif family == "gnp":
         if p is None or not (0.0 < p <= 1.0):
             raise BadParamsError(f"gnp requires 0 < p <= 1, got {p!r}")
@@ -423,13 +527,14 @@ def generate(
         for _ in range(GNP_RETRY_BUDGET):
             mask = rng.random(len(rows_i)) < p
             kept_i, kept_j = rows_i[mask], cols_j[mask]
-            # vertices are derived from edge records, so an isolated vertex
-            # shows up as a too-small vertex set, not a Disconnected error
+            # a draw with an isolated vertex is redrawn before any weight
+            # is sampled for it
             if len(np.union1d(kept_i, kept_j)) < n:
                 continue
-            pairs = [(names[i], names[j]) for i, j in zip(kept_i.tolist(), kept_j.tolist())]
             try:
-                return build_graph(_apply_weights(pairs, weight, weight_sampler, rng))
+                return WeightedGraph._from_arrays(
+                    names, kept_i, kept_j, _edge_weights(len(kept_i), weight, weight_sampler, rng)
+                )
             except DisconnectedError:
                 continue
         raise DisconnectedDrawError(
@@ -438,7 +543,9 @@ def generate(
     else:
         raise BadParamsError(f"unknown graph family {family!r}")
 
-    return build_graph(_apply_weights(pairs, weight, weight_sampler, rng))
+    return WeightedGraph._from_arrays(
+        names, xi, yi, _edge_weights(len(xi), weight, weight_sampler, rng)
+    )
 
 
 def d_constant(g: WeightedGraph) -> float:
@@ -491,28 +598,30 @@ def write_edge_list(g: WeightedGraph, path) -> None:
 
 def read_edge_list(path) -> WeightedGraph:
     """Parse an edge-list file. Lines starting with '#' are comments."""
-    records = []
+    # vertex id -> position in order of first appearance
+    ids: dict[str, int] = {}
+    xi: list[int] = []
+    yi: list[int] = []
+    w: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
                 continue
-            tokens = stripped.split()
             if len(tokens) != 3:
                 raise FileFormatError(
-                    f"{path}:{line_no}: expected `<x> <y> <mu>`, got {stripped!r}"
+                    f"{path}:{line_no}: expected `<x> <y> <mu>`, got {line.strip()!r}"
                 )
+            x, y, mu = tokens
             try:
-                mu = float(tokens[2])
+                w.append(float(mu))
             except ValueError:
-                raise FileFormatError(
-                    f"{path}:{line_no}: weight {tokens[2]!r} is not a number"
-                ) from None
-            # one string object per vertex id, shared by every record naming it
-            records.append((sys.intern(tokens[0]), sys.intern(tokens[1]), mu))
-    if not records:
+                raise FileFormatError(f"{path}:{line_no}: weight {mu!r} is not a number") from None
+            xi.append(ids.setdefault(x, len(ids)))
+            yi.append(ids.setdefault(y, len(ids)))
+    if not w:
         raise FileFormatError(f"{path}: no edge records found")
-    return build_graph(records)
+    return WeightedGraph._from_arrays(list(ids), xi, yi, w)
 
 
 def write_vertex_function(u: VertexFunction, path) -> None:

@@ -10,6 +10,8 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
+import graphcalc as gc
+
 
 def adjacency(g):
     """vertex -> list of (neighbor, weight), neighbors sorted lexicographically."""
@@ -61,6 +63,65 @@ def construction_ref(records):
         "weights": weights,
         "disconnected": disconnected,
     }
+
+
+def generate_ref(
+    family, *, n=None, rows=None, cols=None, p=None, weight=1.0, seed=None,
+    weight_sampler=None, rejected=None,
+):
+    """``gc.generate`` built the way it was before construction took index
+    arrays: nested loops list (x, y) name pairs, each pair gets its weight as
+    a Python float, and the record list goes through ``gc.build_graph``.
+
+    Parameter checks are left to ``gc.generate``. For gnp, ``rejected`` (a
+    list) collects why each redrawn sample was rejected: ``"isolated"`` or
+    ``"disconnected"``.
+    """
+    rng = np.random.default_rng(seed)
+
+    def records(pairs):
+        if weight_sampler is not None:
+            w = np.asarray(weight_sampler(rng, len(pairs)), dtype=np.float64)
+            return [(x, y, float(wi)) for (x, y), wi in zip(pairs, w)]
+        return [(x, y, float(weight)) for x, y in pairs]
+
+    if family == "grid2d":
+        wr, wc = len(str(rows - 1)), len(str(cols - 1))
+        name = [[f"r{i:0{wr}d}c{j:0{wc}d}" for j in range(cols)] for i in range(rows)]
+        pairs = []
+        for i in range(rows):
+            for j in range(cols):
+                if j + 1 < cols:
+                    pairs.append((name[i][j], name[i][j + 1]))
+                if i + 1 < rows:
+                    pairs.append((name[i][j], name[i + 1][j]))
+        return gc.build_graph(records(pairs))
+
+    names = [f"v{i:0{len(str(n - 1))}d}" for i in range(n)]
+    if family == "path":
+        pairs = [(names[i], names[i + 1]) for i in range(n - 1)]
+    elif family == "cycle":
+        pairs = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    elif family == "complete":
+        pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    elif family == "star":
+        pairs = [(names[0], names[i]) for i in range(1, n)]
+    elif family == "gnp":
+        all_pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(gc.graph.GNP_RETRY_BUDGET):
+            mask = rng.random(len(all_pairs)) < p
+            pairs = [pq for pq, keep in zip(all_pairs, mask) if keep]
+            if len({v for pq in pairs for v in pq}) < n:
+                if rejected is not None:
+                    rejected.append("isolated")
+                continue
+            try:
+                return gc.build_graph(records(pairs))
+            except gc.DisconnectedError:
+                if rejected is not None:
+                    rejected.append("disconnected")
+        return None
+    return gc.build_graph(records(pairs))
 
 
 def degrees_ref(g):

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import graphcalc as gc
+from graphcalc.calculus import CertificateReport
 from graphcalc.cli import CHECK_KINDS, main
 
 
@@ -64,6 +65,38 @@ def test_gen_bad_params_exit_2(runner, tmp_path):
         main, ["gen", "--family", "path", "--n", "1", "-o", str(tmp_path / "x.edges")]
     )
     assert result.exit_code == 2
+
+
+# SHA-256 of `graphcalc gen` output, recorded while generators still built
+# their graphs from (x, y, mu) record lists; gnp seed 3 redraws its first
+# sample, which has an isolated vertex
+GEN_SHA256 = {
+    "path": (["--family", "path", "--n", "40"],
+             "00cff5d9698bf7345d64ec27e2a5a73fc84308a2fb346b5d1cb368395a4ace27"),
+    "cycle": (["--family", "cycle", "--n", "37", "--weight", "2.5"],
+              "1df16a3e4b5463ddb0cc4237d5ba5e43209098074eebcc5c403854a01f2f9e54"),
+    "complete": (["--family", "complete", "--n", "12", "--weight", "0.75"],
+                 "7c2bc3515d001249f15bf556723059d22a028e62a33a0e77211191222bf56088"),
+    "star": (["--family", "star", "--n", "25", "--weight", "3"],
+             "67c7514b8ad840826edb294687d63e32eea12f5e8c64c587f32269615eb59fb6"),
+    "grid7x13": (["--family", "grid2d", "--rows", "7", "--cols", "13", "--weight", "1.5"],
+                 "705ccedb6f233bb849a4c9d05d3f7ad26f91402f682e132cfc39bf1b0e9154ac"),
+    "grid300": (["--family", "grid2d", "--rows", "300", "--cols", "300"],
+                "1e2ba05c1ab0a06fbfd21e77a367f90d588a7702b7953ae9b17bc9f73ccd18e2"),
+    "gnp2000-s1": (["--family", "gnp", "--n", "2000", "--p", "0.005", "--seed", "1"],
+                   "47333024c4548fdbd7e1d5ec8529b346eaaf753580deb929e88a56d827c5a88a"),
+    "gnp2000-s3": (["--family", "gnp", "--n", "2000", "--p", "0.005", "--seed", "3"],
+                   "872131bcc4e4ca4ea8cec64d3b8afbf0025120b6b29abd54769cbec76c839327"),
+}
+
+
+@pytest.mark.parametrize("name", list(GEN_SHA256))
+def test_gen_output_bytes_match_recorded(runner, tmp_path, name):
+    args, expected = GEN_SHA256[name]
+    out = tmp_path / "g.edges"
+    result = _invoke(runner, ["gen", *args, "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 # -- check --------------------------------------------------------------------------
@@ -172,6 +205,26 @@ def test_check_report_bytes_match_recorded(runner, tmp_path, monkeypatch, kind):
     assert result.exit_code == 0, result.output
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == CHECK_REPORT_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_REPORT_SHA256))
+def test_check_names_the_worst_vertex_once(runner, tmp_path, monkeypatch, kind):
+    calls = []
+    worst_vertex = CertificateReport.worst_vertex
+
+    def counted(report):
+        calls.append(report)
+        return worst_vertex(report)
+
+    monkeypatch.setattr(CertificateReport, "worst_vertex", counted)
+    _, gpath = _write_graph(tmp_path, "grid2d", rows=5, cols=5)
+    out = tmp_path / "report.json"
+    result = _invoke(
+        runner, ["check", kind, "--graph", str(gpath), "--trials", "7", "-o", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    assert json.loads(out.read_text())["worst_vertex"] == worst_vertex(calls[0])
 
 
 # -- solve --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 import graphcalc as gc
 from graphcalc.serialize import fmt_float
 from conftest import family_corpus
-from oracles import construction_ref, d_constant_ref, degrees_ref
+from oracles import construction_ref, d_constant_ref, degrees_ref, generate_ref
 
 
 # -- construction and validation ------------------------------------------------
@@ -77,6 +78,80 @@ def test_first_bad_record_reports_its_error():
     records = [("a", "b", 1.0), ("b", "c", 1.0), ("c", "b", 2.0)]
     with pytest.raises(gc.DuplicateEdgeError, match=r"^record 2: .* already seen at record 1$"):
         gc.build_graph(records)
+
+
+# One record per kind of error; the first bad record in the list decides.
+_GOOD = [("a", "b", 1.0), ("b", "c", 2.0)]
+_BAD = {
+    "id": (("c d", "a", 1.0), gc.BadParamsError, lambda k: r"^vertex ids .* got 'c d'$"),
+    "loop": (("c", "c", 1.0), gc.SelfLoopError, lambda k: rf"^record {k}: self-loop at vertex 'c'$"),
+    "weight": (
+        ("c", "a", -1.0),
+        gc.NonPositiveWeightError,
+        lambda k: rf"^record {k}: edge \('c', 'a'\) has non-positive weight -1.0$",
+    ),
+    "duplicate": (
+        ("b", "a", 3.0),
+        gc.DuplicateEdgeError,
+        lambda k: rf"^record {k}: unordered pair \('a', 'b'\) already seen at record 0$",
+    ),
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(_BAD)), ids="-".join)
+def test_multi_error_records_raise_first_bad(order):
+    bad = [_BAD[kind][0] for kind in order]
+    _, error, message = _BAD[order[0]]
+    # bad records after the good ones, then interleaved with them
+    for records, first in (
+        (_GOOD + bad, len(_GOOD)),
+        ([_GOOD[0], bad[0], _GOOD[1], *bad[1:]], 1),
+    ):
+        with pytest.raises(error, match=message(first)):
+            gc.build_graph(records)
+
+
+def test_record_with_several_faults_reports_them_in_check_order():
+    # ids, then self-loop, then weight, then repeated pair
+    with pytest.raises(gc.BadParamsError, match="got 'a b'"):
+        gc.build_graph([("a", "b", 1.0), ("a b", "a b", -1.0)])
+    with pytest.raises(gc.SelfLoopError, match=r"^record 1: self-loop"):
+        gc.build_graph([("a", "b", 1.0), ("b", "b", -1.0)])
+    with pytest.raises(gc.NonPositiveWeightError, match=r"^record 1: .* non-positive weight 0.0$"):
+        gc.build_graph([("a", "b", 1.0), ("b", "a", 0.0)])
+    with pytest.raises(gc.NonPositiveWeightError, match=r"^record 2: .*'x', which does not convert"):
+        gc.build_graph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "b", "x")])
+
+
+def test_malformed_records_name_the_record():
+    for bad in (("a", "b", "x"), ("a", "b", None), ("a", "b", [1.0]), ("a", "b", 10**400)):
+        with pytest.raises(gc.NonPositiveWeightError, match=r"^record 1: edge \('a', 'b'\) has weight "):
+            gc.build_graph([("b", "c", 1.0), bad])
+    for bad in (("a", "b"), ("a", "b", 1.0, 2.0), None, 5, ()):
+        with pytest.raises(gc.BadParamsError, match=r"^record 1: expected an \(x, y, mu\) triple"):
+            gc.build_graph([("b", "c", 1.0), bad])
+    # an unhashable id is an invalid id
+    with pytest.raises(gc.BadParamsError, match=r"got \['c'\]$"):
+        gc.build_graph([("a", "b", 1.0), (["c"], "a", "x")])
+    # an earlier bad record still wins over a later malformed one
+    with pytest.raises(gc.SelfLoopError, match=r"^record 0:"):
+        gc.build_graph([("a", "a", 1.0), ("a", "b")])
+    with pytest.raises(gc.DuplicateEdgeError, match=r"^record 1:"):
+        gc.build_graph([("a", "b", 1.0), ("b", "a", 1.0), ("b", "c", "x")])
+
+
+def test_weights_that_float_accepts_are_accepted():
+    g = gc.build_graph([("a", "b", True), ("b", "c", "1.5"), ("c", "d", 2), ("d", "e", np.float32(0.25))])
+    assert g.edges == (("a", "b", 1.0), ("b", "c", 1.5), ("c", "d", 2.0), ("d", "e", 0.25))
+
+
+def test_index_of_builds_its_lookup_on_first_use():
+    g = gc.generate("grid2d", rows=3, cols=4)
+    assert g._index is None
+    assert [g.index_of(v) for v in g.vertices] == list(range(g.n_vertices))
+    assert g.degree("r1c1") == 4.0 and g.neighbors("r0c0") == ("r0c1", "r1c0")
+    with pytest.raises(gc.DomainMismatchError, match=r"^vertex 'zz' is not in the graph$"):
+        g.index_of("zz")
 
 
 def test_disconnected_message_lists_unreachable_vertices():
@@ -229,31 +304,82 @@ def test_equality_and_hash_ignore_record_order():
         assert g3.vertices == g1.vertices and g3 != g1
 
 
-def _gnp_loop_ref(n, p, seed):
-    """The nested-loop pair list the vectorized gnp draw replaced."""
-    rng = np.random.default_rng(seed)
-    names = [f"v{i:0{len(str(n - 1))}d}" for i in range(n)]
-    all_pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
-    for _ in range(gc.graph.GNP_RETRY_BUDGET):
-        mask = rng.random(len(all_pairs)) < p
-        pairs = [pq for pq, keep in zip(all_pairs, mask) if keep]
-        if len({v for pq in pairs for v in pq}) < n:
-            continue
-        weights = rng.uniform(0.5, 2.0, len(pairs))
-        try:
-            return gc.build_graph([(x, y, float(w)) for (x, y), w in zip(pairs, weights)])
-        except gc.DisconnectedError:
-            continue
-    return None
+def _assert_same_graph(g, ref, tmp_path):
+    assert g == ref and hash(g) == hash(ref)
+    assert g.vertices == ref.vertices
+    assert _same_bits(g._ent_coef, ref._ent_coef)
+    assert _same_bits(g.degrees, ref.degrees)
+    gc.write_edge_list(g, tmp_path / "g.edges")
+    gc.write_edge_list(ref, tmp_path / "ref.edges")
+    assert (tmp_path / "g.edges").read_bytes() == (tmp_path / "ref.edges").read_bytes()
+
+
+_GENERATOR_CASES = [
+    ("path", {"n": 2}),
+    ("path", {"n": 11}),
+    ("cycle", {"n": 3}),
+    ("cycle", {"n": 101}),
+    ("complete", {"n": 2}),
+    ("complete", {"n": 13}),
+    ("star", {"n": 2}),
+    ("star", {"n": 12}),
+    ("grid2d", {"rows": 2, "cols": 2}),
+    ("grid2d", {"rows": 3, "cols": 11}),
+    ("grid2d", {"rows": 12, "cols": 5}),
+    ("grid2d", {"rows": 10, "cols": 100}),
+]
+
+
+@pytest.mark.parametrize(
+    "family, kw", _GENERATOR_CASES, ids=[f"{f}-{'-'.join(map(str, kw.values()))}" for f, kw in _GENERATOR_CASES]
+)
+@pytest.mark.parametrize("weights", ["uniform", "sampler"])
+def test_generators_match_record_reference(tmp_path, family, kw, weights):
+    wkw = (
+        {"weight": 2.5}
+        if weights == "uniform"
+        else {"weight_sampler": lambda r, m: r.uniform(0.1, 5.0, m)}
+    )
+    for seed in range(2):
+        g = gc.generate(family, seed=seed, **kw, **wkw)
+        ref = generate_ref(family, seed=seed, **kw, **wkw)
+        _assert_same_graph(g, ref, tmp_path)
 
 
 @pytest.mark.parametrize("n, p", [(12, 0.2), (30, 0.12), (40, 0.5)])
-def test_gnp_matches_loop_reference(n, p):
+def test_gnp_matches_loop_reference(tmp_path, n, p):
     sampler = lambda r, m: r.uniform(0.5, 2.0, m)
-    for seed in range(4):
-        ref = _gnp_loop_ref(n, p, seed)
-        assert ref is not None
-        assert gc.generate("gnp", n=n, p=p, seed=seed, weight_sampler=sampler) == ref
+    for seed in range(5):
+        for wkw in ({"weight": 1.5}, {"weight_sampler": sampler}):
+            ref = generate_ref("gnp", n=n, p=p, seed=seed, **wkw)
+            assert ref is not None
+            _assert_same_graph(gc.generate("gnp", n=n, p=p, seed=seed, **wkw), ref, tmp_path)
+
+
+def test_gnp_reference_seeds_redraw_for_both_reasons():
+    # the draws test_gnp_matches_loop_reference compares include samples
+    # redrawn for an isolated vertex and for a disconnected graph
+    rejected = []
+    for seed in range(5):
+        generate_ref("gnp", n=12, p=0.2, seed=seed, rejected=rejected)
+    assert {"isolated", "disconnected"} <= set(rejected)
+
+
+def test_relabelled_shuffled_family_records_match_reference(tmp_path):
+    # every family's records under random labels (string order unrelated to
+    # the generator's), shuffled, with random orientations
+    rng = np.random.default_rng(25)
+    for _, g in family_corpus(3):
+        label = dict(zip(g.vertices, (f"u{k}" for k in rng.permutation(g.n_vertices))))
+        records = [
+            (label[x], label[y], mu) if rng.random() < 0.5 else (label[y], label[x], mu)
+            for x, y, mu in g.edges
+        ]
+        records = [records[k] for k in rng.permutation(len(records))]
+        _assert_matches_reference(records)
+        path = tmp_path / "g.edges"
+        path.write_text("".join(f"{x} {y} {fmt_float(mu)}\n" for x, y, mu in records))
+        assert gc.read_edge_list(path) == gc.build_graph(records)
 
 
 def test_gnp_disconnected_draw_errors():
