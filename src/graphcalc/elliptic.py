@@ -592,7 +592,22 @@ def _cap_root(m: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         return 0.5 * m
     if p == 2.0:
-        return 0.5 * (np.sqrt(1.0 + 4.0 * m) - 1.0)
+        # (sqrt(1 + 4m) - 1) / 2, rationalized so that small m does not cancel
+        return m / (0.5 + np.sqrt(0.25 + m))
+    if p == 3.0:
+        # Cardano: the one real root is A - 1/(3A), A = cbrt(h + sqrt(h^2 + 1/27)),
+        # h = m/2, written as m / (A^2 + 1/3 + 1/(9A^2)) so that small m does
+        # not cancel. Above h = 1e150 the sqrt rounds to h, and max(h, .)
+        # returns h without squaring it.
+        h = 0.5 * m
+        hc = np.minimum(h, 1e150)
+        a2 = np.cbrt(h + np.maximum(h, np.sqrt(hc * hc + 1.0 / 27.0))) ** 2
+        t = m / (a2 + 1.0 / 3.0 + 1.0 / (9.0 * a2))
+        # One Newton step takes the worst point from 2 ulps off to 1. Its
+        # residual t + t^3 - m is halved, as t^3 can round above the
+        # largest double when m is near it.
+        half_res = 0.5 * t + 0.5 * t * t * t - h
+        return np.maximum(t - 2.0 * half_res / (1.0 + 3.0 * t * t), 0.0)
     # For p < 1, m^(1/p) overflows only where it exceeds m, and min picks m.
     with np.errstate(over="ignore"):
         t = np.minimum(m, np.power(np.maximum(m, 0.0), 1.0 / p))

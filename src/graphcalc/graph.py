@@ -26,6 +26,8 @@ from .serialize import fmt_float
 EdgeRecord = tuple[str, str, float]
 
 GNP_RETRY_BUDGET = 100
+# at most this many G(n, p) pairs get a uniform at once (unless one row has more)
+_GNP_BLOCK_PAIRS = 1 << 20
 
 
 def _validate_vertex_id(v) -> str:
@@ -466,6 +468,28 @@ def _edge_weights(m: int, weight, weight_sampler, rng) -> np.ndarray:
     return np.full(m, weight)
 
 
+def _gnp_pairs(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One G(n, p) draw: the kept pairs i < j, in the row-major order of the
+    nested loop over i < j, with one uniform per pair in that order.
+
+    The uniforms are drawn a block of rows at a time, so memory grows with
+    n + _GNP_BLOCK_PAIRS rather than with the n(n - 1)/2 pairs.
+    """
+    # starts[i] is the row-major position of pair (i, i + 1); starts[n - 1]
+    # is the number of pairs
+    starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    kept = []
+    r0 = 0
+    while r0 < n - 1:
+        r1 = int(np.searchsorted(starts, starts[r0] + _GNP_BLOCK_PAIRS, side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        kept.append(starts[r0] + np.flatnonzero(rng.random(starts[r1] - starts[r0]) < p))
+        r0 = r1
+    k = np.concatenate(kept)
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, k - starts[i] + i + 1
+
+
 def generate(
     family: str,
     *,
@@ -522,11 +546,8 @@ def generate(
     elif family == "gnp":
         if p is None or not (0.0 < p <= 1.0):
             raise BadParamsError(f"gnp requires 0 < p <= 1, got {p!r}")
-        # row-major upper triangle: the pair order of the nested loop i < j
-        rows_i, cols_j = np.triu_indices(n, 1)
         for _ in range(GNP_RETRY_BUDGET):
-            mask = rng.random(len(rows_i)) < p
-            kept_i, kept_j = rows_i[mask], cols_j[mask]
+            kept_i, kept_j = _gnp_pairs(n, p, rng)
             # a draw with an isolated vertex is redrawn before any weight
             # is sampled for it
             if len(np.union1d(kept_i, kept_j)) < n:

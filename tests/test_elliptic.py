@@ -552,7 +552,7 @@ def test_liouville_search_verdicts_match_the_premise_check(monkeypatch):
 
     monkeypatch.setattr(elliptic, "_premise_slacks", spy)
     g = gc.generate("cycle", n=25)
-    for p in (0.5, 1.0, 2.0):
+    for p in (0.5, 1.0, 2.0, 3.0):
         batches.clear()
         report = gc.liouville_search(g, p, 1.0, restarts=200, steps=50, seed=3)
         (rows,) = batches
@@ -596,12 +596,46 @@ def test_cap_root_matches_bisection_reference():
     # about one ulp in t + t^p - m moves it by up to max(1, 1/p) ulps; allow
     # twice that outside the reference bracket.
     m = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 121)])
-    for p in (0.3, 0.5, 0.7, 1.3, 1.5, 2.5, 3.0, 4.0, 7.0, 11.0):
+    for p in (0.3, 0.5, 0.7, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0, 11.0):
         got = elliptic._cap_root(m, p)
         slack = 2.0 * max(1.0, 1.0 / p)
         for mi, t in zip(m.tolist(), got.tolist()):
             lo, hi = cap_root_ref(mi, p)
             assert lo - slack * np.spacing(lo) <= t <= hi + slack * np.spacing(hi), (p, mi)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p, root", [(2.0, np.sqrt), (3.0, np.cbrt)])
+def test_cap_root_closed_forms_at_huge_m(p, root):
+    # Out of the bisection reference's reach (t^p overflows), the root is
+    # m^(1/p) to a relative 1e-100, and must stay finite up to the largest
+    # double; 1e150 is where the p = 3 form stops squaring m/2.
+    big = np.finfo(float).max
+    m = np.array([1e300, 1e305, 1e308, big, np.nextafter(big, 0.0)])
+    edge = 2e150 * (1.0 + np.arange(-4, 5) * 2.0**-52)
+    m = np.concatenate([m, edge, [2e140, 2e160]])
+    got = elliptic._cap_root(m, p)
+    want = root(m)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want)), (p, (got - want) / np.spacing(want))
+
+
+# SHA-256 of liouville_search(g, p, 1.0, restarts=400, seed=1).to_json(),
+# recorded when the p = 3 cap root came from a Newton loop
+LIOUVILLE_SEARCH_SHA256 = {
+    2.0: "fcc0403f3685202102a230a43bc3b20ca9241adbbe23d23feed7e2e7f4bd48ce",
+    3.0: "7f2195add346707fd948a5a4491b06353cfce02f4c6207af5338d979e8c6b12d",
+}
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize(
+    "graph", [{"family": "gnp", "n": 20, "p": 0.3, "seed": 42}, {"family": "grid2d", "rows": 5, "cols": 6}]
+)
+def test_liouville_search_json_matches_recorded_bytes(graph, p):
+    g = gc.generate(**graph)
+    text = gc.liouville_search(g, p, 1.0, restarts=400, seed=1).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == LIOUVILLE_SEARCH_SHA256[p]
 
 
 def test_non_finite_tol_rejected():

@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import graphcalc as gc
+from graphcalc import graph
 from graphcalc.serialize import fmt_float
 from conftest import family_corpus
 from oracles import construction_ref, d_constant_ref, degrees_ref, generate_ref
@@ -354,6 +356,29 @@ def test_gnp_matches_loop_reference(tmp_path, n, p):
             ref = generate_ref("gnp", n=n, p=p, seed=seed, **wkw)
             assert ref is not None
             _assert_same_graph(gc.generate("gnp", n=n, p=p, seed=seed, **wkw), ref, tmp_path)
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_gnp_blocks_keep_the_pair_stream(monkeypatch, tmp_path, block):
+    # blocks of one row each (1), of one long row or a few short ones (7) and
+    # of several rows (40) draw the uniforms of one pass over all pairs
+    monkeypatch.setattr(graph, "_GNP_BLOCK_PAIRS", block)
+    for seed in range(5):
+        ref = generate_ref("gnp", n=12, p=0.2, seed=seed, weight=1.5)
+        _assert_same_graph(gc.generate("gnp", n=12, p=0.2, seed=seed, weight=1.5), ref, tmp_path)
+
+
+def test_gnp_memory_does_not_grow_with_the_pair_count():
+    # 17,997,000 candidate pairs: one uniform and two indices for each at once
+    # peaked at 450 MB
+    tracemalloc.start()
+    try:
+        g = gc.generate("gnp", n=6000, p=10 / 6000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n_vertices == 6000
+    assert peak < 40e6, peak
 
 
 def test_gnp_reference_seeds_redraw_for_both_reasons():
