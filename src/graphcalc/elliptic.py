@@ -7,6 +7,8 @@ mechanism behind the Liouville theorem, the strong maximum principle, and
 eigenpairs of -lap.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -585,6 +587,19 @@ class LiouvilleSearchReport(JsonRecord):
 
 
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+_LARGEST_DOUBLE = float(np.finfo(np.float64).max)
+
+
+@functools.lru_cache(maxsize=16)
+def _finite_power_limit(p: float) -> float:
+    """The largest double t whose np.power(t, p) is finite (p > 1)."""
+    t = np.power(_LARGEST_DOUBLE, 1.0 / p)
+    with np.errstate(over="ignore"):
+        while not np.isfinite(np.power(t, p)):
+            t = np.nextafter(t, 0.0)
+        while np.isfinite(np.power(np.nextafter(t, np.inf), p)):
+            t = np.nextafter(t, np.inf)
+    return float(t)
 
 
 def _cap_root(m: np.ndarray, p: float) -> np.ndarray:
@@ -609,15 +624,20 @@ def _cap_root(m: np.ndarray, p: float) -> np.ndarray:
         half_res = 0.5 * t + 0.5 * t * t * t - h
         return np.maximum(t - 2.0 * half_res / (1.0 + 3.0 * t * t), 0.0)
     # For p < 1, m^(1/p) overflows only where it exceeds m, and min picks m.
+    # For p > 1, m^(1/p) can round up to a t whose t^p overflows, when m is
+    # near the largest double. So the start and every iterate are capped at
+    # the largest t with t^p finite; the root is at most one double above
+    # that cap, and where t^p stays finite the cap changes nothing.
+    top = _finite_power_limit(p) if p > 1.0 else math.inf
     with np.errstate(over="ignore"):
-        t = np.minimum(m, np.power(np.maximum(m, 0.0), 1.0 / p))
+        t = np.minimum(np.minimum(m, np.power(np.maximum(m, 0.0), 1.0 / p)), top)
     for _ in range(30):
         ft = t + np.power(t, p) - m
         # The floor keeps 0^(p-1) finite for p < 1; where t^(p-1) still
         # overflows (tiny p, subnormal t), dft = inf leaves t in place.
         with np.errstate(over="ignore"):
             dft = 1.0 + p * np.power(np.maximum(t, _SMALLEST_SUBNORMAL), p - 1.0)
-        t_next = np.clip(t - ft / dft, 0.0, None)
+        t_next = np.clip(t - ft / dft, 0.0, top)
         # Once the roots have converged, further sweeps only flip last bits.
         if np.all(np.abs(t_next - t) <= 2.0 * np.spacing(t)):
             return t_next

@@ -147,7 +147,10 @@ class WeightedGraph:
 
     The CSR arrays (``_row_ptr``, ``_ent_rows``, ``_ent_cols``, ``_ent_w``
     and ``_ent_coef``, rows and columns ascending in vertex order) are the
-    only store of the edges; every other form is derived from them.
+    only store of the edges; every other form is derived from them. Two
+    derived forms are cached on first use: ``_weight_matrix`` and
+    ``_slot_plan``, the neighbour-sum layout of ``calculus``. Neither takes
+    part in equality, hashing or ``repr``.
     """
 
     __slots__ = (
@@ -160,6 +163,7 @@ class WeightedGraph:
         "_ent_coef",
         "_ent_w",
         "_row_ptr",
+        "_slot_plan",
     )
 
     def __init__(self, edge_records: Iterable[tuple[str, str, float]]):
@@ -218,6 +222,8 @@ class WeightedGraph:
         self._ent_coef = data / degrees[rows]
         self._ent_w = data
         self._row_ptr = row_ptr
+        # built by the first neighbour sum (calculus._slot_plan)
+        self._slot_plan = None
         for arr in (
             self._degrees,
             self._ent_rows,
@@ -441,7 +447,9 @@ class VertexFunction:
 
 def require_same_domain(graph: WeightedGraph, u: VertexFunction) -> np.ndarray:
     """Return u's value array after checking it is defined on exactly graph's vertices."""
-    if u.vertices != graph.vertices:
+    # functions built from graph.vertices share the tuple; the identity test
+    # spares an element-wise comparison of n strings
+    if u.vertices is not graph.vertices and u.vertices != graph.vertices:
         raise DomainMismatchError(
             "vertex function domain does not match the graph's vertex set"
         )

@@ -124,6 +124,22 @@ def generate_ref(
     return gc.build_graph(records(pairs))
 
 
+def neighbor_sum_ref(g, values, f=None):
+    """The CSR neighbour-sum kernels as first written: the terms
+    ``coef * f(u[cols] - u[rows])`` of every entry, summed per row by
+    ``np.add.reduceat`` along the last axis (f = identity if None)."""
+    diff = values[..., g._ent_cols] - values[..., g._ent_rows]
+    terms = g._ent_coef * (diff if f is None else f(diff))
+    return np.add.reduceat(terms, g._row_ptr[:-1], axis=-1)
+
+
+def abs2_ref(values):
+    """|z|^2 as the kernels compute it: re^2 + im^2, or x * x for real x."""
+    if np.iscomplexobj(values):
+        return values.real**2 + values.imag**2
+    return values * values
+
+
 def degrees_ref(g):
     # Independently assembled incident-weight lists, reduced with the same
     # documented reduction (reduceat over the canonical neighbor order).
@@ -225,13 +241,17 @@ def cap_root_ref(m: float, p: float) -> tuple[float, float]:
 
     Bisection over the bit patterns of the nonnegative doubles, whose order
     as int64 is their order as floats. The bracket starts at [0, m] (or at
-    [0, 2 m^(1/p)] for p > 1, which keeps t^p finite).
+    [0, 2 m^(1/p)] for p > 1, which keeps t^p finite unless m is near the
+    largest double; a probe whose t^p overflows lies above the root).
     """
     def as_float(bits: int) -> float:
         return float(np.int64(bits).view(np.float64))
 
     def f(t: float) -> float:
-        return t + t**p - m
+        try:
+            return t + t**p - m
+        except OverflowError:  # t^p is above the largest double, so above m
+            return float("inf")
 
     if m == 0.0:
         return 0.0, 0.0

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 
@@ -7,14 +8,16 @@ from hypothesis import given, strategies as st
 
 import graphcalc as gc
 from conftest import family_corpus
-from graphcalc.calculus import _laplacian_values
+from graphcalc.calculus import _grad_sq_values, _laplacian_values
 from oracles import (
+    abs2_ref,
     d_inner_ref,
     dirichlet_ref,
     free_energy_ref,
     grad_sq_ref,
     laplacian_ref,
     mass_ref,
+    neighbor_sum_ref,
 )
 
 
@@ -89,8 +92,9 @@ def test_grad_sq_matches_oracle_and_nonnegative(seed, complex_values):
         assert gs[v] == pytest.approx(ref[v], abs=1e-12)
 
 
+@pytest.mark.parametrize("kernel", [_laplacian_values, _grad_sq_values], ids=["laplacian", "grad_sq"])
 @pytest.mark.parametrize("complex_values", [False, True])
-def test_batched_laplacian_rows_equal_single_calls(complex_values):
+def test_batched_kernel_rows_equal_single_calls(complex_values, kernel):
     # the premise kernel applies lap to a (restarts, n) batch in one call
     rng = np.random.default_rng(8)
     graphs = [g for _, g in family_corpus(2)] + [gc.generate("grid2d", rows=40, cols=50, seed=1)]
@@ -98,10 +102,94 @@ def test_batched_laplacian_rows_equal_single_calls(complex_values):
         batch = rng.normal(size=(2, 3, g.n_vertices))
         if complex_values:
             batch = batch + 1j * rng.normal(size=batch.shape)
-        got = _laplacian_values(g, batch)
+        got = kernel(g, batch)
         assert got.shape == batch.shape
         for idx in np.ndindex(batch.shape[:-1]):
-            assert got[idx].tobytes() == _laplacian_values(g, batch[idx]).tobytes()
+            assert got[idx].tobytes() == kernel(g, batch[idx]).tobytes()
+
+
+# -- the slot-fold kernel against the reduceat formula -------------------------------
+
+
+def _relabelled(g, rng):
+    """``g`` with its vertices renamed at random, so that the canonical
+    vertex order no longer follows the construction order."""
+    names = dict(zip(g.vertices, (f"x{k}" for k in rng.permutation(g.n_vertices))))
+    return gc.build_graph([(names[x], names[y], w) for x, y, w in g.edges])
+
+
+def _mixed_degree_graph(seed):
+    # a hub of degree >= 12 and, over the seeds, every degree from 1 up
+    rng = np.random.default_rng(seed)
+    n = 30
+    edges = {(0, j) for j in range(1, 13)}
+    edges |= {(int(rng.integers(0, i)), i) for i in range(13, n)}
+    rate = rng.uniform(0.0, 0.7, n)
+    edges |= {(i, j) for i in range(1, n) for j in range(i + 1, n) if rng.random() < rate[i] * rate[j]}
+    records = [(f"v{i}", f"v{j}", float(rng.uniform(0.1, 4.0))) for i, j in sorted(edges)]
+    return _relabelled(gc.build_graph(records), rng)
+
+
+@functools.cache
+def _fixed_graph(name):
+    rng = np.random.default_rng(5)
+    if name == "star":
+        return gc.generate("star", n=300)  # degree 299: numpy's recursive block sum
+    if name == "complete":
+        return gc.generate("complete", n=40)
+    if name == "gnp":
+        return gc.generate("gnp", n=150, p=0.9, seed=1)
+    sampler = lambda r, m: r.uniform(0.2, 3.0, m)
+    return _relabelled(gc.generate("grid2d", rows=12, cols=17, weight_sampler=sampler, seed=2), rng)
+
+
+def _flavoured(rng, shape, flavour):
+    x = rng.normal(size=shape)
+    if flavour == "signed_zeros":
+        x[rng.random(shape) < 0.5] = 0.0
+        x[rng.random(shape) < 0.3] = -0.0
+    elif flavour == "negative_zero":
+        x = np.full(shape, -0.0)
+    elif flavour == "subnormal":
+        x = x * 2.0**-1060
+    elif flavour == "mixed_scales":
+        x = x * 2.0 ** rng.choice([-1000, 0, 1000], shape)
+    else:
+        x = x * 2.0 ** {"huge": 1000, "tiny": -1000, "normal": 0}[flavour]
+    return x
+
+
+@given(
+    graph=st.sampled_from(["mixed", "star", "complete", "gnp", "grid"]),
+    seed=st.integers(0, 10_000),
+    complex_values=st.booleans(),
+    batched=st.booleans(),
+    flavour=st.sampled_from(
+        ["normal", "signed_zeros", "negative_zero", "subnormal", "huge", "tiny", "mixed_scales"]
+    ),
+)
+def test_neighbor_sums_equal_reduceat_bitwise(graph, seed, complex_values, batched, flavour):
+    g = _mixed_degree_graph(seed) if graph == "mixed" else _fixed_graph(graph)
+    rng = np.random.default_rng(seed)
+    # 400 rows as in the Liouville search, fewer where that would be large
+    shape = (400 if 2 * g.n_edges <= 2000 else 3, g.n_vertices) if batched else (g.n_vertices,)
+    values = _flavoured(rng, shape, flavour)
+    if complex_values:
+        values = values.astype(np.complex128)
+        values.imag = _flavoured(rng, shape, flavour)  # x + 1j * y would turn -0.0 into 0.0
+    with np.errstate(over="ignore"):  # |2^1000|^2 is inf on both sides
+        assert _laplacian_values(g, values).tobytes() == neighbor_sum_ref(g, values).tobytes()
+        assert _grad_sq_values(g, values).tobytes() == neighbor_sum_ref(g, values, abs2_ref).tobytes()
+
+
+def test_slot_plan_does_not_change_equality_hash_or_repr():
+    a = gc.generate("grid2d", rows=4, cols=5, seed=3)
+    b = gc.generate("grid2d", rows=4, cols=5, seed=3)
+    before = (a == b, hash(a), hash(b), repr(a), repr(b))
+    gc.laplacian(a, gc.VertexFunction.constant(a, 1.0))
+    assert a._slot_plan is not None and b._slot_plan is None
+    assert (a == b, hash(a), hash(b), repr(a), repr(b)) == before
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 def test_laplacian_returns_same_scalar_kind(p3):

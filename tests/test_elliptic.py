@@ -620,6 +620,20 @@ def test_cap_root_closed_forms_at_huge_m(p, root):
     assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want)), (p, (got - want) / np.spacing(want))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [2.5, 3.5, 4.0, 5.0, 11.0])
+def test_cap_root_newton_at_the_largest_doubles(p):
+    # m^(1/p) can round to a start whose p-th power overflows
+    m = [np.finfo(float).max]
+    for _ in range(40):
+        m.append(np.nextafter(m[-1], 0.0))
+    got = elliptic._cap_root(np.array(m), p)
+    slack = 2.0 * max(1.0, 1.0 / p)
+    for mi, t in zip(m, got.tolist()):
+        lo, hi = cap_root_ref(mi, p)
+        assert lo - slack * np.spacing(lo) <= t <= hi + slack * np.spacing(hi), (p, mi)
+
+
 # SHA-256 of liouville_search(g, p, 1.0, restarts=400, seed=1).to_json(),
 # recorded when the p = 3 cap root came from a Newton loop
 LIOUVILLE_SEARCH_SHA256 = {
