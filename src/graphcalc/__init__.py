@@ -1,167 +1,64 @@
-"""Discrete calculus, inequality certificates, and PDE flows on finite weighted graphs."""
+"""Discrete calculus, inequality certificates, and PDE flows on finite weighted graphs.
+
+The public names are loaded lazily (PEP 562): ``import graphcalc`` alone
+imports no submodule and no numpy, and each name imports its module on
+first access. So a CLI process loads only the modules its command runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .calculus import (
-    DEFAULT_TOL,
-    CertificateReport,
-    abs_fn,
-    check_kato1,
-    check_kato2,
-    check_product_rule,
-    d_inner,
-    dirichlet_energy,
-    free_energy,
-    grad_sq,
-    laplacian,
-    mass,
-    pos_part,
-    sign_fn,
-    sign_plus,
-)
-from .elliptic import (
-    ChainCertificate,
-    ChainOutcome,
-    LiouvilleSearchReport,
-    MaxPrincipleOutcome,
-    MaxPrincipleResult,
-    Potential,
-    SolverConfig,
-    SolveReport,
-    SpectralPair,
-    check_liouville_premises,
-    check_strong_max_principle,
-    check_subsolution,
-    keller_osserman_chain,
-    liouville_search,
-    solve_ginzburg_landau,
-    solve_linear_schrodinger,
-    spectrum_smallest,
-    verify_gl_bound,
-    verify_gradient_estimate,
-)
-from .errors import (
-    BadParamsError,
-    BadStartError,
-    ComplexNotAllowedError,
-    ConvergenceFailureError,
-    DisconnectedDrawError,
-    DisconnectedError,
-    DomainMismatchError,
-    DuplicateEdgeError,
-    FileFormatError,
-    GraphCalcError,
-    IncompatibleRHSError,
-    LinearSolveFailureError,
-    NegativeInputError,
-    NonFiniteValueError,
-    NonPositiveWeightError,
-    NotASolutionError,
-    SelfLoopError,
-    SingularJacobianError,
-    SingularSystemError,
-)
-from .evolution import (
-    EvolutionConfig,
-    EvolutionScheme,
-    EvolutionTrace,
-    MaxPrincipleDiag,
-    check_parabolic_max,
-    evolve_heat,
-    gp_evolve,
-    schrodinger_evolve,
-    schrodinger_step,
-)
-from .graph import (
-    VertexFunction,
-    WeightedGraph,
-    build_graph,
-    d_constant,
-    generate,
-    random_vertex_function,
-    read_edge_list,
-    read_vertex_function,
-    write_edge_list,
-    write_vertex_function,
-)
+# The public names of each module, in the order of __all__.
+_PUBLIC = {
+    "graph": (
+        "WeightedGraph", "VertexFunction", "build_graph", "generate", "d_constant",
+        "random_vertex_function", "read_edge_list", "write_edge_list",
+        "read_vertex_function", "write_vertex_function",
+    ),
+    "calculus": (
+        "DEFAULT_TOL", "CertificateReport", "laplacian", "grad_sq", "abs_fn", "pos_part",
+        "sign_fn", "sign_plus", "d_inner", "mass", "dirichlet_energy", "free_energy",
+        "check_kato1", "check_kato2", "check_product_rule",
+    ),
+    "elliptic": (
+        "Potential", "SolverConfig", "SolveReport", "SpectralPair", "ChainCertificate",
+        "ChainOutcome", "MaxPrincipleOutcome", "MaxPrincipleResult", "LiouvilleSearchReport",
+        "solve_linear_schrodinger", "solve_ginzburg_landau", "verify_gl_bound",
+        "check_subsolution", "verify_gradient_estimate", "check_liouville_premises",
+        "keller_osserman_chain", "liouville_search", "check_strong_max_principle",
+        "spectrum_smallest",
+    ),
+    "evolution": (
+        "EvolutionConfig", "EvolutionScheme", "EvolutionTrace", "MaxPrincipleDiag",
+        "evolve_heat", "schrodinger_evolve", "schrodinger_step", "gp_evolve",
+        "check_parabolic_max",
+    ),
+    "errors": (
+        "GraphCalcError", "SelfLoopError", "DuplicateEdgeError", "NonPositiveWeightError",
+        "DisconnectedError", "DisconnectedDrawError", "BadParamsError", "DomainMismatchError",
+        "NonFiniteValueError", "ComplexNotAllowedError", "SingularSystemError",
+        "IncompatibleRHSError", "SingularJacobianError", "NotASolutionError",
+        "NegativeInputError", "BadStartError", "ConvergenceFailureError",
+        "LinearSolveFailureError", "FileFormatError",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+_SUBMODULES = (*_PUBLIC, "serialize")
 
-__all__ = [
-    "__version__",
-    # graph core
-    "WeightedGraph",
-    "VertexFunction",
-    "build_graph",
-    "generate",
-    "d_constant",
-    "random_vertex_function",
-    "read_edge_list",
-    "write_edge_list",
-    "read_vertex_function",
-    "write_vertex_function",
-    # calculus
-    "DEFAULT_TOL",
-    "CertificateReport",
-    "laplacian",
-    "grad_sq",
-    "abs_fn",
-    "pos_part",
-    "sign_fn",
-    "sign_plus",
-    "d_inner",
-    "mass",
-    "dirichlet_energy",
-    "free_energy",
-    "check_kato1",
-    "check_kato2",
-    "check_product_rule",
-    # elliptic
-    "Potential",
-    "SolverConfig",
-    "SolveReport",
-    "SpectralPair",
-    "ChainCertificate",
-    "ChainOutcome",
-    "MaxPrincipleOutcome",
-    "MaxPrincipleResult",
-    "LiouvilleSearchReport",
-    "solve_linear_schrodinger",
-    "solve_ginzburg_landau",
-    "verify_gl_bound",
-    "check_subsolution",
-    "verify_gradient_estimate",
-    "check_liouville_premises",
-    "keller_osserman_chain",
-    "liouville_search",
-    "check_strong_max_principle",
-    "spectrum_smallest",
-    # evolution
-    "EvolutionConfig",
-    "EvolutionScheme",
-    "EvolutionTrace",
-    "MaxPrincipleDiag",
-    "evolve_heat",
-    "schrodinger_evolve",
-    "schrodinger_step",
-    "gp_evolve",
-    "check_parabolic_max",
-    # errors
-    "GraphCalcError",
-    "SelfLoopError",
-    "DuplicateEdgeError",
-    "NonPositiveWeightError",
-    "DisconnectedError",
-    "DisconnectedDrawError",
-    "BadParamsError",
-    "DomainMismatchError",
-    "NonFiniteValueError",
-    "ComplexNotAllowedError",
-    "SingularSystemError",
-    "IncompatibleRHSError",
-    "SingularJacobianError",
-    "NotASolutionError",
-    "NegativeInputError",
-    "BadStartError",
-    "ConvergenceFailureError",
-    "LinearSolveFailureError",
-    "FileFormatError",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF, *_SUBMODULES})

@@ -6,7 +6,9 @@ or a solver did not converge, 2 = usage or input error. Every run emits a
 seed, input digest, configuration, version, and wall time.
 """
 
+import atexit
 import functools
+import gc
 import hashlib
 import sys
 import time
@@ -15,31 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .calculus import (
-    check_kato1,
-    check_kato2,
-    check_product_rule,
-)
-from .elliptic import (
-    Potential,
-    SolverConfig,
-    check_strong_max_principle,
-    liouville_search,
-    MaxPrincipleOutcome,
-    solve_ginzburg_landau,
-    solve_linear_schrodinger,
-    verify_gl_bound,
-    verify_gradient_estimate,
-)
 from .errors import BadParamsError, GraphCalcError, NotASolutionError
-from .evolution import (
-    EvolutionConfig,
-    EvolutionScheme,
-    check_parabolic_max,
-    evolve_heat,
-    gp_evolve,
-    schrodinger_evolve,
-)
 from .graph import (
     VertexFunction,
     d_constant,
@@ -51,6 +29,16 @@ from .graph import (
     write_vertex_function,
 )
 from .serialize import write_json
+
+# Each command imports the library module it runs in its own body, so a
+# process loads calculus, elliptic or evolution only when its command needs it.
+
+# At interpreter shut-down a final collection walks and frees every module
+# object (scipy's are most of them), which an exiting CLI process gains
+# nothing from. Frozen objects are left out of that collection. No output
+# waits on a finalizer: every file is closed by its `with` block, and the
+# interpreter flushes stdout and stderr regardless.
+atexit.register(gc.freeze)
 
 CHECK_KINDS = ("kato1", "kato2", "product", "gradient-estimate", "max-principle", "liouville")
 
@@ -131,24 +119,34 @@ def _run_trial(kind, g, seed, trial, tol) -> tuple:
     """
     rng = np.random.default_rng([seed, trial])
     if kind == "kato1":
+        from .calculus import check_kato1
+
         u = random_vertex_function(g, rng, complex_values=trial % 2 == 1, zero_prob=0.1)
         report = check_kato1(g, u, tol)
         return (report.passed, report.min_slack, report)
     elif kind == "kato2":
+        from .calculus import check_kato2
+
         u = random_vertex_function(g, rng, zero_prob=0.1)
         rep_abs, rep_pos = check_kato2(g, u, tol)
         worst = rep_abs if rep_abs.min_slack <= rep_pos.min_slack else rep_pos
         return (rep_abs.passed and rep_pos.passed, worst.min_slack, worst)
     elif kind == "product":
+        from .calculus import check_product_rule
+
         u = random_vertex_function(g, rng, complex_values=trial % 2 == 1, zero_prob=0.1)
         report = check_product_rule(g, u, tol)
         return (report.passed, report.min_slack, report)
     elif kind == "gradient-estimate":
+        from .elliptic import verify_gradient_estimate
+
         u = random_vertex_function(g, rng, zero_prob=0.1)
         u = VertexFunction(g.vertices, np.abs(u.values))
         report = verify_gradient_estimate(g, u, tol)
         return (report.passed, report.min_slack, report)
     elif kind == "max-principle":
+        from .elliptic import MaxPrincipleOutcome, check_strong_max_principle
+
         u = random_vertex_function(g, rng, zero_prob=0.1)
         outcome = check_strong_max_principle(g, u, tol)
         return (outcome.outcome is not MaxPrincipleOutcome.VIOLATION, outcome.outcome.value, None)
@@ -186,6 +184,8 @@ def cmd_check(ctx, kind, graph_path, trials, seed, tol, p_exponent, bound, steps
         "tol": tol,
     }
     if kind == "liouville":
+        from .elliptic import liouville_search
+
         search = liouville_search(
             g, p_exponent, bound, restarts=trials, steps=steps, seed=seed
         )
@@ -234,6 +234,8 @@ def _parse_init(spec, g, seed):
 
 
 def _parse_potential(spec, g):
+    from .elliptic import Potential
+
     if spec == "zero":
         return Potential.zero(g)
     return Potential(read_vertex_function(spec, g))
@@ -279,6 +281,8 @@ def _parse_dirichlet(spec):
 @_guard
 def cmd_solve(ctx, problem, graph_path, init_spec, seed, tol, max_iters, config_path, q_spec, f_spec, dirichlet_spec, out):
     """Solve a stationary problem and write solution, report, and certificates."""
+    from .elliptic import SolverConfig, solve_ginzburg_landau, solve_linear_schrodinger, verify_gl_bound
+
     started = time.perf_counter()
     g = read_edge_list(graph_path)
     config = {"problem": problem, "tol": tol}
@@ -343,6 +347,15 @@ def cmd_solve(ctx, problem, graph_path, init_spec, seed, tol, max_iters, config_
 @_guard
 def cmd_evolve(ctx, flow, graph_path, u0_path, dt, steps, stride, solve_tol, trace_path, out):
     """Run a time evolution, writing the trace CSV and final state JSON."""
+    from .evolution import (
+        EvolutionConfig,
+        EvolutionScheme,
+        check_parabolic_max,
+        evolve_heat,
+        gp_evolve,
+        schrodinger_evolve,
+    )
+
     started = time.perf_counter()
     g = read_edge_list(graph_path)
     u0 = read_vertex_function(u0_path, g)

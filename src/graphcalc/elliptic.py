@@ -588,6 +588,8 @@ class LiouvilleSearchReport(JsonRecord):
 
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 _LARGEST_DOUBLE = float(np.finfo(np.float64).max)
+# np.spacing overflows at the largest double; the double below it has the same ulp.
+_BELOW_LARGEST_DOUBLE = float(np.nextafter(_LARGEST_DOUBLE, 0.0))
 
 
 @functools.lru_cache(maxsize=16)
@@ -632,14 +634,19 @@ def _cap_root(m: np.ndarray, p: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         t = np.minimum(np.minimum(m, np.power(np.maximum(m, 0.0), 1.0 / p)), top)
     for _ in range(30):
-        ft = t + np.power(t, p) - m
+        tp = np.power(t, p)
+        # Near the largest double t + t^p can overflow where t + t^p - m does
+        # not; only there is the residual summed as (t - m) + t^p.
+        with np.errstate(over="ignore"):
+            t_plus_tp = t + tp
+        ft = np.where(np.isinf(t_plus_tp), (t - m) + tp, t_plus_tp - m)
         # The floor keeps 0^(p-1) finite for p < 1; where t^(p-1) still
         # overflows (tiny p, subnormal t), dft = inf leaves t in place.
         with np.errstate(over="ignore"):
             dft = 1.0 + p * np.power(np.maximum(t, _SMALLEST_SUBNORMAL), p - 1.0)
         t_next = np.clip(t - ft / dft, 0.0, top)
         # Once the roots have converged, further sweeps only flip last bits.
-        if np.all(np.abs(t_next - t) <= 2.0 * np.spacing(t)):
+        if np.all(np.abs(t_next - t) <= 2.0 * np.spacing(np.minimum(t, _BELOW_LARGEST_DOUBLE))):
             return t_next
         t = t_next
     return t

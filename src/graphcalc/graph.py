@@ -5,6 +5,10 @@ That order fixes vertex indexing, neighbor summation order, and file layout
 everywhere else in the package, so repeated runs are bitwise reproducible.
 """
 
+# Annotations stay unevaluated: np.random.Generator in them would import
+# numpy.random in every process, even where nothing is drawn.
+from __future__ import annotations
+
 import math
 from collections.abc import Callable, Iterable, Mapping
 
@@ -515,7 +519,8 @@ def generate(
     center first), ``grid2d`` (rows x cols lattice), ``gnp`` (Erdos-Renyi,
     retried up to 100 draws for connectivity).
     """
-    rng = np.random.default_rng(seed)
+    # Only gnp and a weight sampler draw; the other families never load numpy.random.
+    rng = np.random.default_rng(seed) if family == "gnp" or weight_sampler is not None else None
     if family == "grid2d":
         if rows is None or cols is None or rows < 2 or cols < 2:
             raise BadParamsError("grid2d requires rows >= 2 and cols >= 2")

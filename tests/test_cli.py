@@ -471,10 +471,11 @@ def test_version_flag(runner):
     assert gc.__version__ in result.output
 
 
-# -- which commands load scipy ------------------------------------------------------
+# -- which modules each command loads ----------------------------------------------
 
 # Runs the CLI entry point in a fresh interpreter and reports, after main()
-# returns, its exit status and every scipy module the process imported.
+# returns, its exit status, every scipy and graphcalc module the process
+# imported, and whether numpy.random was loaded.
 _SCIPY_PROBE = """
 import json, sys
 from graphcalc.cli import CHECK_KINDS, main
@@ -482,20 +483,42 @@ try:
     main(sys.argv[1:])
 except SystemExit as exc:
     status = exc.code
-print(json.dumps({"exit": status, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({
+    "exit": status,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "graphcalc": sorted(m for m in sys.modules if m.startswith("graphcalc.")),
+    "numpy.random": "numpy.random" in sys.modules,
+}))
 """
 
 
-def _run_cli_subprocess(args, cwd):
+def _subprocess_env():
     src = str(Path(gc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run_cli_subprocess(args, cwd):
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=_subprocess_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _assert_loads_only_its_modules(args, result):
+    """Each command loads only the library modules it runs."""
+    if args[0] in ("--version", "gen"):
+        unused = {"calculus", "elliptic", "evolution"}
+    elif args[0] == "check" and args[1] in ("kato1", "kato2", "product"):
+        unused = {"elliptic", "evolution"}
+    elif args[0] in ("check", "solve"):
+        unused = {"evolution"}
+    else:
+        unused = {"elliptic"}
+    assert not {f"graphcalc.{m}" for m in unused} & set(result["graphcalc"])
 
 
 @pytest.fixture
@@ -520,21 +543,149 @@ def test_commands_without_solver_do_not_import_scipy(tmp_path, small_grid, args)
     result = _run_cli_subprocess(args, tmp_path)
     assert result["exit"] == 0
     assert result["scipy"] == []
+    _assert_loads_only_its_modules(args, result)
+    if args[0] == "gen":  # a fixed family draws nothing
+        assert result["numpy.random"] is False
 
 
 def test_solver_commands_still_run_in_scipy_probe(tmp_path, small_grid):
     g, gpath = small_grid
-    result = _run_cli_subprocess(
-        ["solve", "gl", "--graph", gpath, "--init", "random", "--seed", "1", "-o", "gl.json"], tmp_path
-    )
-    assert result["exit"] == 0
-    assert "scipy.sparse.linalg" in result["scipy"]
     u0 = tmp_path / "u0.json"
     gc.write_vertex_function(gc.random_vertex_function(g, np.random.default_rng(0)), u0)
-    result = _run_cli_subprocess(
+    for args in (
+        ["solve", "gl", "--graph", gpath, "--init", "random", "--seed", "1", "-o", "gl.json"],
+        ["solve", "schrodinger-stationary", "--graph", gpath, "--dirichlet", "r0c0=1", "-o", "s.json"],
         ["evolve", "heat", "--graph", gpath, "--u0", str(u0), "--dt", "0.1", "--steps", "5",
          "--trace", "trace.csv", "-o", "final.json"],
-        tmp_path,
+    ):
+        result = _run_cli_subprocess(args, tmp_path)
+        assert result["exit"] == 0
+        assert "scipy.sparse.linalg" in result["scipy"]
+        _assert_loads_only_its_modules(args, result)
+
+
+# -- a real process exits as an in-process run does ---------------------------------
+
+# The console-script entry point, spelled out: the package runs from src/.
+_ENTRY = "import sys; from graphcalc.cli import main; sys.argv[0] = 'graphcalc'; sys.exit(main())"
+
+
+def _output_files(directory):
+    """{name: bytes} of every file in directory, manifests without their wall time."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        data = path.read_bytes()
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(data)
+            assert manifest.pop("wall_time_s") >= 0.0
+            data = json.dumps(manifest, sort_keys=True).encode()
+        files[path.name] = data
+    return files
+
+
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [
+        (["check", "kato1", "--trials", "5", "-o", "report.json"], 0),
+        (["check", "kato1", "--trials", "5", "--tol", "nan", "-o", "report.json"], 2),
+        (["evolve", "heat", "--dt", "0.1", "--steps", "5", "--trace", "trace.csv", "-o", "final.json"], 0),
+    ],
+    ids=["kato1", "kato1-tol-nan", "evolve-heat"],
+)
+def test_process_exit_loses_no_output(runner, tmp_path, monkeypatch, args, exit_code):
+    # In a real process the exit hook runs (it freezes the collector before
+    # shut-down); a CliRunner run in this process never reaches it.
+    g, gpath = _write_graph(tmp_path, "grid2d", rows=4, cols=4)
+    args = [*args[:2], "--graph", str(gpath), *args[2:]]
+    if args[0] == "evolve":
+        u0 = tmp_path / "u0.json"
+        gc.write_vertex_function(gc.random_vertex_function(g, np.random.default_rng(0)), u0)
+        args += ["--u0", str(u0)]
+    proc_dir, runner_dir = tmp_path / "process", tmp_path / "runner"
+    proc_dir.mkdir()
+    runner_dir.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY, *args],
+        cwd=proc_dir, env=_subprocess_env(), capture_output=True, text=True, timeout=120,
     )
-    assert result["exit"] == 0
-    assert "scipy.sparse.linalg" in result["scipy"]
+    monkeypatch.chdir(runner_dir)
+    result = runner.invoke(main, args, prog_name="graphcalc")
+    assert proc.returncode == result.exit_code == exit_code
+    assert proc.stdout == result.stdout
+    assert proc.stderr == result.stderr
+    if exit_code == 2:
+        assert proc.stderr.startswith("error: ")
+    assert _output_files(proc_dir) == _output_files(runner_dir)
+
+
+# -- the package's public names load lazily -----------------------------------------
+
+# graphcalc.__all__, pinned from the package's public names by module
+_PUBLIC = {
+    "graph": [
+        "WeightedGraph", "VertexFunction", "build_graph", "generate", "d_constant",
+        "random_vertex_function", "read_edge_list", "write_edge_list",
+        "read_vertex_function", "write_vertex_function",
+    ],
+    "calculus": [
+        "DEFAULT_TOL", "CertificateReport", "laplacian", "grad_sq", "abs_fn", "pos_part",
+        "sign_fn", "sign_plus", "d_inner", "mass", "dirichlet_energy", "free_energy",
+        "check_kato1", "check_kato2", "check_product_rule",
+    ],
+    "elliptic": [
+        "Potential", "SolverConfig", "SolveReport", "SpectralPair", "ChainCertificate",
+        "ChainOutcome", "MaxPrincipleOutcome", "MaxPrincipleResult", "LiouvilleSearchReport",
+        "solve_linear_schrodinger", "solve_ginzburg_landau", "verify_gl_bound",
+        "check_subsolution", "verify_gradient_estimate", "check_liouville_premises",
+        "keller_osserman_chain", "liouville_search", "check_strong_max_principle",
+        "spectrum_smallest",
+    ],
+    "evolution": [
+        "EvolutionConfig", "EvolutionScheme", "EvolutionTrace", "MaxPrincipleDiag",
+        "evolve_heat", "schrodinger_evolve", "schrodinger_step", "gp_evolve",
+        "check_parabolic_max",
+    ],
+    "errors": [
+        "GraphCalcError", "SelfLoopError", "DuplicateEdgeError", "NonPositiveWeightError",
+        "DisconnectedError", "DisconnectedDrawError", "BadParamsError", "DomainMismatchError",
+        "NonFiniteValueError", "ComplexNotAllowedError", "SingularSystemError",
+        "IncompatibleRHSError", "SingularJacobianError", "NotASolutionError",
+        "NegativeInputError", "BadStartError", "ConvergenceFailureError",
+        "LinearSolveFailureError", "FileFormatError",
+    ],
+}
+
+_LAZY_PACKAGE_PROBE = """
+import importlib, json, sys, warnings
+warnings.simplefilter("error")
+import graphcalc
+public = json.loads(sys.argv[1])
+loaded = sorted(m for m in sys.modules if m.startswith("graphcalc.") or m.split(".")[0] == "numpy")
+assert loaded == [], loaded
+assert graphcalc.__all__ == ["__version__", *(n for names in public.values() for n in names)]
+assert graphcalc.graph.GNP_RETRY_BUDGET > 0
+for module, names in public.items():
+    mod = importlib.import_module(f"graphcalc.{module}")
+    for name in names:
+        assert getattr(graphcalc, name) is getattr(mod, name), name
+namespace = {}
+exec("from graphcalc import *", namespace)
+assert set(graphcalc.__all__) <= set(namespace)
+assert set(graphcalc.__all__) <= set(dir(graphcalc))
+try:
+    graphcalc.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown name resolved")
+print("ok")
+"""
+
+
+def test_lazy_package_keeps_its_public_api():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_PACKAGE_PROBE, json.dumps(_PUBLIC)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

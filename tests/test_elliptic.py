@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -621,9 +622,19 @@ def test_cap_root_closed_forms_at_huge_m(p, root):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("p", [2.5, 3.5, 4.0, 5.0, 11.0])
+@pytest.mark.parametrize(
+    "p",
+    [
+        2.5, 3.5, 4.0, 5.0, 11.0,
+        *(round(0.05 * k, 2) for k in range(1, 20)),
+        *(round(1.0 + 0.01 * k, 2) for k in range(1, 20)),
+    ],
+)
 def test_cap_root_newton_at_the_largest_doubles(p):
-    # m^(1/p) can round to a start whose p-th power overflows
+    # For p > 1, m^(1/p) can round to a start whose p-th power overflows;
+    # for p < 1 the root can be the largest double itself, whose np.spacing
+    # overflows, and for p near 1, t + t^p can overflow while t + t^p - m
+    # does not. math.ulp is finite at the largest double.
     m = [np.finfo(float).max]
     for _ in range(40):
         m.append(np.nextafter(m[-1], 0.0))
@@ -631,7 +642,8 @@ def test_cap_root_newton_at_the_largest_doubles(p):
     slack = 2.0 * max(1.0, 1.0 / p)
     for mi, t in zip(m, got.tolist()):
         lo, hi = cap_root_ref(mi, p)
-        assert lo - slack * np.spacing(lo) <= t <= hi + slack * np.spacing(hi), (p, mi)
+        assert np.isfinite(t), (p, mi)
+        assert lo - slack * math.ulp(lo) <= t <= hi + slack * math.ulp(hi), (p, mi)
 
 
 # SHA-256 of liouville_search(g, p, 1.0, restarts=400, seed=1).to_json(),
