@@ -40,13 +40,17 @@ from .serialize import write_json
 # interpreter flushes stdout and stderr regardless.
 atexit.register(gc.freeze)
 
+# an input or output file is hashed this many bytes at a time
+_DIGEST_BLOCK_BYTES = 1 << 16
+
 CHECK_KINDS = ("kato1", "kato2", "product", "gradient-estimate", "max-principle", "liouville")
 
 
 def _digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
+        for block in iter(functools.partial(fh.read, _DIGEST_BLOCK_BYTES), b""):
+            h.update(block)
     return h.hexdigest()
 
 

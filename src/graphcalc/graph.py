@@ -10,6 +10,7 @@ everywhere else in the package, so repeated runs are bitwise reproducible.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable, Iterable, Mapping
 
 import numpy as np
@@ -31,7 +32,10 @@ EdgeRecord = tuple[str, str, float]
 
 GNP_RETRY_BUDGET = 100
 # at most this many G(n, p) pairs get a uniform at once (unless one row has more)
-_GNP_BLOCK_PAIRS = 1 << 20
+_GNP_BLOCK_PAIRS = 1 << 16
+# at most this many CSR entries are turned into Python objects at once when
+# an edge list is written
+_WRITE_BLOCK_ENTRIES = 1 << 15
 
 
 def _validate_vertex_id(v) -> str:
@@ -119,13 +123,21 @@ def _check_records(names, xi, yi, w) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return xi, yi, w
 
 
-def _records_to_arrays(edge_records) -> tuple[list, list[int], list[int], list[float]]:
+def _frombuffers(xi: array, yi: array, w: array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index and weight arrays collected in ``array('q')`` and
+    ``array('d')`` buffers, as numpy arrays sharing their memory."""
+    return (
+        np.frombuffer(xi, dtype=np.int64),
+        np.frombuffer(yi, dtype=np.int64),
+        np.frombuffer(w, dtype=np.float64),
+    )
+
+
+def _records_to_arrays(edge_records) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """Distinct vertex names in order of appearance, plus the index and weight
-    lists of ``(x, y, mu)`` records."""
+    arrays of ``(x, y, mu)`` records."""
     ids: dict = {}
-    xi: list[int] = []
-    yi: list[int] = []
-    w: list[float] = []
+    xi, yi, w = array("q"), array("q"), array("d")
     for record_no, record in enumerate(edge_records):
         try:
             x, y, mu = record
@@ -133,12 +145,12 @@ def _records_to_arrays(edge_records) -> tuple[list, list[int], list[int], list[f
         except (TypeError, ValueError, OverflowError):
             # not a triple, an unhashable id, or a weight float() rejects:
             # the records before this one decide first
-            _check_records(list(ids), xi, yi, w)
+            _check_records(list(ids), *_frombuffers(xi, yi, w))
             _raise_record_error(record_no, record)
         xi.append(i)
         yi.append(j)
         w.append(mu)
-    return list(ids), xi, yi, w
+    return (list(ids), *_frombuffers(xi, yi, w))
 
 
 class WeightedGraph:
@@ -155,6 +167,11 @@ class WeightedGraph:
     derived forms are cached on first use: ``_weight_matrix`` and
     ``_slot_plan``, the neighbour-sum layout of ``calculus``. Neither takes
     part in equality, hashing or ``repr``.
+
+    Construction holds no Python object per edge: records are collected in
+    typed arrays, and the CSR arrays are sorted and gathered from one key
+    array covering both orientations of each edge, so that few arrays of
+    2|E| entries are alive at once.
     """
 
     __slots__ = (
@@ -190,31 +207,49 @@ class WeightedGraph:
         if not len(w):
             raise BadParamsError("a graph needs at least one edge")
 
+        # Each whole-graph temporary is dropped (del) once no later step
+        # needs it, so that few of them are alive at once.
+
         # canonical vertex order, and each name's position in it
-        n = len(names)
+        n, m = len(names), len(w)
         perm = sorted(range(n), key=names.__getitem__)
         vertices = tuple(map(names.__getitem__, perm))
         rank = np.empty(n, dtype=np.int64)
         rank[perm] = np.arange(n)
+        del perm
         xi, yi = rank[xi], rank[yi]
+        del rank
+        self._check_connected(vertices, xi, yi)
 
         # Both orientations of every edge in row-major order, each row's
         # columns ascending: (row, col) pairs are unique, so one sort on
         # row * n + col orders them. Records mostly come in sorted runs,
-        # which the stable sort (a merge sort) is quickest on.
-        ent_rows = np.concatenate([xi, yi])
-        ent_cols = np.concatenate([yi, xi])
-        order = np.argsort(ent_rows * n + ent_cols, kind="stable")
-        rows = ent_rows[order]
-        cols = ent_cols[order]
-        data = np.concatenate([w, w])[order]
+        # which the stable sort (a merge sort) is quickest on. Entry k < m
+        # is record k, entry m + k its reverse; the key buffer then holds
+        # each entry's column.
         row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+        counts = np.bincount(xi, minlength=n)
+        counts += np.bincount(yi, minlength=n)
+        np.cumsum(counts, out=row_ptr[1:])
+        key = np.empty(2 * m, dtype=np.int64)
+        np.multiply(xi, n, out=key[:m])
+        key[:m] += yi
+        np.multiply(yi, n, out=key[m:])
+        key[m:] += xi
+        order = np.argsort(key, kind="stable")
+        key[:m], key[m:] = yi, xi
+        del xi, yi
+        cols = key[order]
+        del key
+        data = w.take(order, mode="wrap")
+        del order
+        rows = np.repeat(np.arange(n), counts)
 
         # Degrees accumulate per row via reduceat in ascending neighbor
         # order; recomputing with the same reduction matches bitwise.
         degrees = np.add.reduceat(data, row_ptr[:-1])
-        self._check_connected(vertices, xi, yi)
+        coef = degrees[rows]
+        np.divide(data, coef, out=coef)
 
         self._vertices = vertices
         # vertex -> position, built on the first lookup
@@ -223,7 +258,7 @@ class WeightedGraph:
         self._weight_matrix = None
         self._ent_rows = rows
         self._ent_cols = cols
-        self._ent_coef = data / degrees[rows]
+        self._ent_coef = coef
         self._ent_w = data
         self._row_ptr = row_ptr
         # built by the first neighbour sum (calculus._slot_plan)
@@ -268,11 +303,12 @@ class WeightedGraph:
     def vertices(self) -> tuple[str, ...]:
         return self._vertices
 
-    def _upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row, column and weight arrays of the CSR entries above the diagonal:
-        one entry per edge, in canonical edge order."""
-        upper = self._ent_cols > self._ent_rows
-        return self._ent_rows[upper], self._ent_cols[upper], self._ent_w[upper]
+    def _upper(self, block: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and weight arrays of the CSR entries above the diagonal
+        (of those in ``block``): one entry per edge, in canonical edge order."""
+        rows, cols = self._ent_rows[block], self._ent_cols[block]
+        upper = cols > rows
+        return rows[upper], cols[upper], self._ent_w[block][upper]
 
     @property
     def edges(self) -> tuple[EdgeRecord, ...]:
@@ -584,7 +620,8 @@ def generate(
 
 def d_constant(g: WeightedGraph) -> float:
     """Largest ratio d_x / mu_xy over all incident vertex-edge pairs (always >= 1)."""
-    ratios = g.degrees[g._ent_rows] / g._ent_w
+    ratios = g.degrees[g._ent_rows]
+    np.divide(ratios, g._ent_w, out=ratios)
     return float(ratios.max())
 
 
@@ -618,44 +655,61 @@ def random_vertex_function(
 
 def write_edge_list(g: WeightedGraph, path) -> None:
     """Write the canonical edge list: one `<x> <y> <mu>` line per edge."""
-    xi, yi, w = g._upper()
     v = g.vertices
     # Every graph `gen` writes has one weight, so a weight is formatted
     # only where it differs from the previous line's.
     last, text = None, ""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j, mu in zip(xi.tolist(), yi.tolist(), w.tolist()):
-            if mu != last:
-                last, text = mu, fmt_float(mu)
-            fh.write(f"{v[i]} {v[j]} {text}\n")
+        # a block of CSR entries at a time, so the Python objects of one
+        # block at most are alive
+        for start in range(0, len(g._ent_cols), _WRITE_BLOCK_ENTRIES):
+            xi, yi, w = g._upper(slice(start, start + _WRITE_BLOCK_ENTRIES))
+            for i, j, mu in zip(xi.tolist(), yi.tolist(), w.tolist()):
+                if mu != last:
+                    last, text = mu, fmt_float(mu)
+                fh.write(f"{v[i]} {v[j]} {text}\n")
 
 
 def read_edge_list(path) -> WeightedGraph:
     """Parse an edge-list file. Lines starting with '#' are comments."""
-    # vertex id -> position in order of first appearance
+    return WeightedGraph._from_arrays(*_parse_edge_list(path))
+
+
+def _parse_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct vertex ids of an edge-list file in order of first
+    appearance, and the index and weight arrays of its records."""
+    # vertex id -> position; freed on return, before the graph is built
     ids: dict[str, int] = {}
-    xi: list[int] = []
-    yi: list[int] = []
-    w: list[float] = []
+    xi, yi, w = array("q"), array("q"), array("d")
+    add_x, add_y, add_w, index = xi.append, yi.append, w.append, ids.setdefault
+    # as in write_edge_list: a weight is parsed only where its text differs
+    # from the previous record's
+    last, mu_value = None, None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            if len(tokens) != 3:
+            # one test passes a record line; the others are sorted out inside
+            if len(tokens) != 3 or tokens[0][0] == "#":
+                if not tokens or tokens[0][0] == "#":
+                    continue
                 raise FileFormatError(
                     f"{path}:{line_no}: expected `<x> <y> <mu>`, got {line.strip()!r}"
                 )
             x, y, mu = tokens
-            try:
-                w.append(float(mu))
-            except ValueError:
-                raise FileFormatError(f"{path}:{line_no}: weight {mu!r} is not a number") from None
-            xi.append(ids.setdefault(x, len(ids)))
-            yi.append(ids.setdefault(y, len(ids)))
+            if mu != last:
+                try:
+                    mu_value = float(mu)
+                except ValueError:
+                    raise FileFormatError(
+                        f"{path}:{line_no}: weight {mu!r} is not a number"
+                    ) from None
+                last = mu
+            add_w(mu_value)
+            add_x(index(x, len(ids)))
+            add_y(index(y, len(ids)))
     if not w:
         raise FileFormatError(f"{path}: no edge records found")
-    return WeightedGraph._from_arrays(list(ids), xi, yi, w)
+    return (list(ids), *_frombuffers(xi, yi, w))
 
 
 def write_vertex_function(u: VertexFunction, path) -> None:

@@ -11,6 +11,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 import graphcalc as gc
+from graphcalc.serialize import fmt_float
 
 
 def adjacency(g):
@@ -122,6 +123,18 @@ def generate_ref(
                     rejected.append("disconnected")
         return None
     return gc.build_graph(records(pairs))
+
+
+def write_edge_list_ref(g, path):
+    """``gc.write_edge_list`` as it was before it wrote in blocks: one pass
+    over the whole edge list, each weight formatted only where it differs
+    from the previous line's."""
+    last, text = None, ""
+    with open(path, "w", encoding="utf-8") as fh:
+        for x, y, mu in g.edges:
+            if mu != last:
+                last, text = mu, fmt_float(mu)
+            fh.write(f"{x} {y} {text}\n")
 
 
 def neighbor_sum_ref(g, values, f=None):

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import graphcalc as gc
+from graphcalc import cli
 from graphcalc.calculus import CertificateReport
 from graphcalc.cli import CHECK_KINDS, main
 
@@ -58,6 +59,15 @@ def test_gen_gnp_deterministic_bytes(runner, tmp_path):
         )
         assert result.exit_code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("size", [0, 6, 7, 8, 70, 1000])
+def test_digest_in_blocks_equals_whole_file_hash(monkeypatch, tmp_path, size):
+    # files shorter than, equal to, a multiple of and longer than a block
+    monkeypatch.setattr(cli, "_DIGEST_BLOCK_BYTES", 7)
+    path = tmp_path / "f.bin"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert cli._digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_gen_bad_params_exit_2(runner, tmp_path):

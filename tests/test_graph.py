@@ -10,7 +10,13 @@ import graphcalc as gc
 from graphcalc import graph
 from graphcalc.serialize import fmt_float
 from conftest import family_corpus
-from oracles import construction_ref, d_constant_ref, degrees_ref, generate_ref
+from oracles import (
+    construction_ref,
+    d_constant_ref,
+    degrees_ref,
+    generate_ref,
+    write_edge_list_ref,
+)
 
 
 # -- construction and validation ------------------------------------------------
@@ -370,7 +376,9 @@ def test_gnp_blocks_keep_the_pair_stream(monkeypatch, tmp_path, block):
 
 def test_gnp_memory_does_not_grow_with_the_pair_count():
     # 17,997,000 candidate pairs: one uniform and two indices for each at once
-    # peaked at 450 MB
+    # peaked at 450 MB, and blocks of 2^20 pairs at 10 MB. numpy.random is
+    # imported before tracing starts, so its import does not count.
+    np.random.default_rng(0)
     tracemalloc.start()
     try:
         g = gc.generate("gnp", n=6000, p=10 / 6000, seed=0)
@@ -378,7 +386,60 @@ def test_gnp_memory_does_not_grow_with_the_pair_count():
     finally:
         tracemalloc.stop()
     assert g.n_vertices == 6000
-    assert peak < 40e6, peak
+    assert peak < 6e6, peak
+
+
+def _traced(fn):
+    """fn()'s result, the traced memory it leaves allocated and its traced
+    peak, both counted from the call's start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, current - start, peak - start
+
+
+def _grid300():
+    return gc.generate("grid2d", rows=300, cols=300)
+
+
+@pytest.fixture(scope="module")
+def grid300_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grid300") / "grid300.edges"
+    gc.write_edge_list(_grid300(), path)
+    return path
+
+
+# Building, writing or reading a graph holds at most half the finished
+# graph again in transients: no whole-graph Python objects, and a few
+# arrays of 2|E| entries at most.
+
+
+def test_generate_memory_stays_near_the_graph_size():
+    g, size, peak = _traced(_grid300)
+    assert g.n_edges == 179_400
+    assert peak <= 1.5 * size, (peak, size)
+
+
+def test_write_edge_list_memory_stays_near_the_graph_size(tmp_path):
+    def generate_then_write():
+        g = _grid300()
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gc.write_edge_list(g, tmp_path / "g.edges")
+        return size
+
+    size, _, peak = _traced(generate_then_write)
+    assert peak <= 1.5 * size, (peak, size)
+
+
+def test_read_edge_list_memory_stays_near_the_graph_size(grid300_file):
+    g, size, peak = _traced(lambda: gc.read_edge_list(grid300_file))
+    assert g.n_edges == 179_400
+    assert peak <= 1.5 * size, (peak, size)
 
 
 def test_gnp_reference_seeds_redraw_for_both_reasons():
@@ -521,6 +582,90 @@ def test_edge_list_bytes_match_recorded(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == EDGE_LIST_SHA256[name], name
         lines = path.read_text().splitlines()
         assert lines == [f"{x} {y} {fmt_float(mu)}" for x, y, mu in g.edges]
+
+
+def _weight_runs(n, runs):
+    """A path on n vertices whose weights come in runs of the given lengths,
+    cycling through 1.5, 0.25 and 1/3."""
+    w = [mu for k, r in enumerate(runs) for mu in [(1.5, 0.25, 1 / 3)[k % 3]] * r]
+    return gc.build_graph([(f"v{i:03d}", f"v{i + 1:03d}", w[i]) for i in range(n - 1)])
+
+
+_WRITER_GRAPHS = {
+    "runs": _weight_runs(30, [1, 2, 3, 4, 1, 1, 5, 2, 10]),
+    "star": gc.generate("star", n=20, seed=1, weight_sampler=lambda r, m: r.choice([1.0, 2.5], m)),
+    "complete": gc.generate("complete", n=9, weight=0.1),
+    "complete_weighted": gc.generate(
+        "complete", n=9, seed=2, weight_sampler=lambda r, m: r.choice([0.5, 3.0], m)
+    ),
+    **dict(family_corpus(2)),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_blocked_writer_matches_one_pass_writer(monkeypatch, tmp_path, block):
+    # A block of 1, 2 or 7 CSR entries splits the star's centre row and the
+    # complete graph's rows across blocks, and puts weight changes at block
+    # boundaries. The weight last formatted carries over from block to
+    # block, so fmt_float runs once per change of weight along the list.
+    calls = []
+    monkeypatch.setattr(graph, "_WRITE_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(graph, "fmt_float", lambda mu: calls.append(mu) or fmt_float(mu))
+    for name, g in _WRITER_GRAPHS.items():
+        calls.clear()
+        gc.write_edge_list(g, tmp_path / "g.edges")
+        write_edge_list_ref(g, tmp_path / "ref.edges")
+        assert (tmp_path / "g.edges").read_bytes() == (tmp_path / "ref.edges").read_bytes(), name
+        weights = [mu for _, _, mu in g.edges]
+        changes = [mu for k, mu in enumerate(weights) if k == 0 or mu != weights[k - 1]]
+        assert calls == changes, name
+
+
+# One bad edge-list line per kind of error, with the error it raises as the
+# first bad line (k: its record number, n: its line number). Lines that do
+# not parse are found while reading, before any record is checked.
+_BAD_LINES = {
+    "fields": ("c a", gc.FileFormatError, lambda k, n: rf"^.*bad\.edges:{n}: expected `<x> <y> <mu>`, got 'c a'$"),
+    "number": ("c a 1,5", gc.FileFormatError, lambda k, n: rf"^.*bad\.edges:{n}: weight '1,5' is not a number$"),
+    "loop": ("c c 1", gc.SelfLoopError, lambda k, n: rf"^record {k}: self-loop at vertex 'c'$"),
+    "weight": (
+        "c a -1",
+        gc.NonPositiveWeightError,
+        lambda k, n: rf"^record {k}: edge \('c', 'a'\) has non-positive weight -1.0$",
+    ),
+    "nan": (
+        "c a nan",
+        gc.NonPositiveWeightError,
+        lambda k, n: rf"^record {k}: edge \('c', 'a'\) has non-positive weight nan$",
+    ),
+    "duplicate": (
+        "b a 1",
+        gc.DuplicateEdgeError,
+        lambda k, n: rf"^record {k}: unordered pair \('a', 'b'\) already seen at record 0$",
+    ),
+}
+_PARSE_ERRORS = ("fields", "number")
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(_BAD_LINES, 2)), ids="-".join)
+def test_edge_list_first_bad_line_decides(tmp_path, order):
+    # good records with equal weight text, so a bad weight follows a parsed
+    # one; comments of three and of four tokens
+    head = ["# a comment", "a b 1", "", "#x y z w", "b c 1"]
+    lines = head + [_BAD_LINES[kind][0] for kind in order] + ["c d 1"]
+    parse = [kind for kind in order if kind in _PARSE_ERRORS]
+    first = parse[0] if parse else order[0]
+    _, error, message = _BAD_LINES[first]
+    n = len(head) + order.index(first) + 1
+    path = tmp_path / "bad.edges"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error, match=message(order.index(first) + 2, n)):
+        gc.read_edge_list(path)
+    if not parse:
+        # the same records given to the constructor raise the same error
+        records = [tuple(line.split()) for line in lines if line and line[0] != "#"]
+        with pytest.raises(error, match=message(order.index(first) + 2, n)):
+            gc.WeightedGraph(records)
 
 
 def test_edge_list_comments_and_blanks(tmp_path):
