@@ -9,7 +9,7 @@ eigenpairs of -lap.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -22,11 +22,11 @@ from .calculus import (
     _combinatorial_laplacian,
     _grad_sq_values,
     _laplacian_values,
+    _require_real,
 )
 from .errors import (
     BadParamsError,
     BadStartError,
-    ComplexNotAllowedError,
     ConvergenceFailureError,
     IncompatibleRHSError,
     NegativeInputError,
@@ -45,22 +45,13 @@ class Potential:
     values: VertexFunction
 
     def __post_init__(self):
-        if self.values.is_complex:
-            raise ComplexNotAllowedError("a potential must be real-valued")
-        if np.any(self.values.values < 0.0):
+        values = _require_real(self.values, "Potential")
+        if np.any(values < 0.0):
             raise NegativeInputError("a potential must be nonnegative everywhere")
 
     @classmethod
     def zero(cls, g: WeightedGraph) -> "Potential":
         return cls(VertexFunction.constant(g, 0.0))
-
-    @classmethod
-    def from_dict(cls, g: WeightedGraph, mapping) -> "Potential":
-        return cls(VertexFunction.from_dict(g, mapping))
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.values.values
 
 
 @dataclass(frozen=True)
@@ -78,16 +69,19 @@ class SolverConfig(JsonRecord):
             raise BadParamsError(f"invalid solver configuration {self!r}")
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "SolverConfig":
-        try:
-            return cls(
-                tol=float(obj.get("tol", 1e-12)),
-                max_iters=int(obj.get("max_iters", 200_000)),
-                damping=float(obj.get("damping", 0.2)),
-                seed=obj.get("seed"),
+    def from_json_dict(cls, obj) -> "SolverConfig":
+        """Build a config from a JSON object of fields; a missing field keeps its default."""
+        types = {f.name: f.type for f in fields(cls)}
+        if not isinstance(obj, dict) or not set(obj) <= set(types):
+            raise BadParamsError(
+                f"solver configuration must be an object with keys among {list(types)}, got {obj!r}"
             )
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise BadParamsError(f"invalid solver configuration JSON: {exc}") from None
+        for name, value in obj.items():  # a float field takes any JSON number, no field a bool
+            accepted = (int, float) if types[name] is float else types[name]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                expected = getattr(types[name], "__name__", types[name])
+                raise BadParamsError(f"solver configuration {name!r} must be {expected}, got {value!r}")
+        return cls(**{name: float(v) if types[name] is float else v for name, v in obj.items()})
 
 
 @dataclass(frozen=True)
@@ -359,9 +353,8 @@ def check_subsolution(
     This holds at every vertex where -lap(u) + Q u = 0; on truncations,
     restrict attention to the slack entries of interior vertices.
     """
+    _require_real(u, "check_subsolution")
     values = require_same_domain(g, u)
-    if u.is_complex:
-        raise ComplexNotAllowedError("check_subsolution requires a real-valued function")
     qv = require_same_domain(g, Q.values)
     pos = np.maximum(values, 0.0)
     slack = _laplacian_values(g, pos) - qv * pos
@@ -383,8 +376,7 @@ def verify_gradient_estimate(
     ``info`` but not asserted: it requires d <= 1, which fails on any graph
     with a vertex of two or more neighbors.
     """
-    if u.is_complex:
-        raise ComplexNotAllowedError("verify_gradient_estimate requires real input")
+    _require_real(u, "verify_gradient_estimate")
     values = require_same_domain(g, u)
     if np.any(values < 0.0):
         bad = g.vertices[int(np.argmin(values))]
@@ -441,8 +433,7 @@ def check_liouville_premises(
     function satisfying all premises is u = 0, so any passing input must be
     zero up to tolerance effects.
     """
-    if u.is_complex:
-        raise ComplexNotAllowedError("check_liouville_premises requires real input")
+    _require_real(u, "check_liouville_premises")
     _require_liouville_params(p, bound)
     values = require_same_domain(g, u)
     combined, s_nonneg, s_upper, s_super = _premise_slacks(g, values, p, bound)
@@ -499,8 +490,7 @@ def keller_osserman_chain(
     a premise violation); ``p``, ``tol`` and ``bound`` must be finite. Each
     step without a verdict adds a new vertex, so one comes within |X| steps.
     """
-    if u.is_complex:
-        raise ComplexNotAllowedError("keller_osserman_chain requires real input")
+    _require_real(u, "keller_osserman_chain")
     if not np.isfinite(tol):
         raise BadParamsError(f"tol must be finite, got {tol!r}")
     values = require_same_domain(g, u)
@@ -740,8 +730,7 @@ def check_strong_max_principle(
     tol * (sum d_x / min d_x). A ``violation`` return would falsify the
     principle and indicates a bug.
     """
-    if u.is_complex:
-        raise ComplexNotAllowedError("check_strong_max_principle requires real input")
+    _require_real(u, "check_strong_max_principle")
     if not np.isfinite(tol):
         raise BadParamsError(f"tol must be finite, got {tol!r}")
     values = require_same_domain(g, u)

@@ -31,13 +31,13 @@ from .calculus import (
     _abs2,
     _combinatorial_laplacian,
     _laplacian_values,
+    _require_real,
     dirichlet_energy,
     free_energy,
     mass,
 )
 from .errors import (
     BadParamsError,
-    ComplexNotAllowedError,
     FileFormatError,
     LinearSolveFailureError,
 )
@@ -245,8 +245,7 @@ def evolve_heat(
     def start():
         import scipy.sparse as sp
 
-        if u0.is_complex:
-            raise ComplexNotAllowedError("heat flow requires a real initial state")
+        _require_real(u0, "evolve_heat")
         values = require_same_domain(g, u0)
         # (1 + dt) d, not d + dt d, which rounds differently for some degrees
         matrix = (1.0 + cfg.dt) * sp.diags(g.degrees) - cfg.dt * g.weight_matrix

@@ -325,6 +325,34 @@ def test_solve_gl_with_config_file(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "config",
+    [
+        "[]",
+        '{"tolerance": 1e-3}',
+        '{"tol": true}',
+        '{"tol": "1e-3"}',
+        '{"damping": null}',
+        '{"max_iters": true}',
+        '{"max_iters": 1.5}',
+        '{"seed": "x"}',
+        '{"seed": 1.5}',
+        '{"seed": false}',
+    ],
+)
+def test_solve_gl_unusable_config_exit_2(runner, tmp_path, config):
+    _, gpath = _write_graph(tmp_path, "complete", n=4)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config)
+    result = runner.invoke(
+        main,
+        ["solve", "gl", "--graph", str(gpath), "--config", str(cfg_path), "-o", str(tmp_path / "sol.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ")
+    assert result.output.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["solve", "gl", "--tol", "inf"],
@@ -350,6 +378,81 @@ def test_non_finite_parameter_exit_2(runner, tmp_path, monkeypatch, args):
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("error: ")
     assert args[-1] in result.output
+
+
+# Arguments after `--graph grid.edges` of solve and check runs whose outputs
+# are pinned below; each writes into out/.
+PINNED_RUNS = {
+    "solve-gl": ["solve", "gl", "--init", "random", "--seed", "3", "-o", "out/sol.json"],
+    "solve-dirichlet": [
+        "solve", "schrodinger-stationary", "--Q", "q.json", "--f", "f.json",
+        "--dirichlet", "r00c00=0,r11c11=1", "-o", "out/sol.json",
+    ],
+    "solve-neumann": ["solve", "schrodinger-stationary", "--f", "f_neumann.json", "-o", "out/sol.json"],
+    "check-max-principle": ["check", "max-principle", "--trials", "20", "--seed", "4", "-o", "out/report.json"],
+    "check-liouville": [
+        "check", "liouville", "--trials", "20", "--seed", "4", "--steps", "100", "-o", "out/report.json",
+    ],
+}
+
+# SHA-256 of stdout and of each output file of the PINNED_RUNS (manifests
+# without their wall time), recorded before `solve` wrote its outputs from one
+# path and `check` ran its trials from one table
+PINNED_RUN_SHA256 = {
+    "check-liouville": {
+        "report.json": "8c96087313adaa86a1cd98f61bd116be5100ab20d3fd4db6dc592eee538b3bef",
+        "report.json.manifest.json": "4c257e1927232430a501dbedf10fad490ebae5f45fa6c1d28eff2e85c42cd898",
+        "stdout": "1c07d3732194982c9cd9feaf2139bc36235b8ff86983ebfb58bcf9656b5e6285",
+    },
+    "check-max-principle": {
+        "report.json": "7369696eb504cd7765e9f1ec78c765753fe6400ecfa1ffb47f0a171ac7961be7",
+        "report.json.manifest.json": "b560ecc67eff15acafd556d250e23516000cbacfd0c41b5ad341b6fa4885a2a3",
+        "stdout": "ea564cb8b955ba8893537525a24139c29f637770fb0703725b7400e857343957",
+    },
+    "solve-dirichlet": {
+        "sol.json": "088513c894afa9e0bba99e479c5d141851db7dfbc09c50345c68ca0960e60331",
+        "sol.json.manifest.json": "b9d6363fb90e28e1c8ff259a3703135414df87063ca0e820246dfa431161afcd",
+        "sol.json.report.json": "bf1258c927ea6bd0637197b7ba5e61a185fa3a80536ece29544bdef6e7e321d1",
+        "stdout": "79f24be4e043a27fe2d9495c4463abb803e50d655352c01189da7d38c60ac816",
+    },
+    "solve-gl": {
+        "sol.json": "bbb462115146ed3997f35af68520d071de66fb9390cd083dae44940e550a3a97",
+        "sol.json.cert.json": "f8a91fd95ab26e7468ed75be02d7fc1529ec8f484c5671224c0d7ff5b7e7784e",
+        "sol.json.manifest.json": "b35ca21517f385f6ed30894674a8d91c400425f8ab2aeebb687525f00738c774",
+        "sol.json.report.json": "dfa2cef134983f4bc80a48908ca452465708a25f8180ac01068555aba18211c6",
+        "stdout": "8e77446fa363882a1268c864dabe2a3f5311d7ca33c6d9c4eb35cc5527460fab",
+    },
+    "solve-neumann": {
+        "sol.json": "d4e053edb49f25775b4c180696a4d5402bf58e4489cb5f5a755efe47c21fe864",
+        "sol.json.manifest.json": "e7cf6510b2ddb3ee6fdbcf90950f4717120f2a8bbb3de6e51d3520e171405d20",
+        "sol.json.report.json": "41445fe5b304943f56bec30867b94d0eb3c889d3a70cdbc0e275060d8bc64853",
+        "stdout": "fc0cf9cb3a630044370a5123486e38b193465af3dd287b6c213065224f6b9ca4",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_solve_and_check_outputs_match_recorded(runner, tmp_path, monkeypatch, name):
+    g = gc.generate(
+        "grid2d", rows=12, cols=12, seed=5, weight_sampler=lambda r, m: r.uniform(0.2, 3.0, m)
+    )
+    gc.write_edge_list(g, tmp_path / "grid.edges")
+    rng = np.random.default_rng(6)
+    f = rng.uniform(-1.0, 1.0, g.n_vertices)
+    # pure Neumann data must satisfy sum_x d_x f(x) = 0
+    f_neumann = f - np.dot(g.degrees, f) / np.sum(g.degrees)
+    for fname, values in (("q.json", rng.uniform(0.0, 2.0, g.n_vertices)), ("f.json", f),
+                          ("f_neumann.json", f_neumann)):
+        gc.write_vertex_function(gc.VertexFunction(g.vertices, values), tmp_path / fname)
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    args = PINNED_RUNS[name]
+    result = _invoke(runner, [*args[:2], "--graph", "grid.edges", *args[2:]])
+    assert result.exit_code == 0, result.output
+    digests = {"stdout": hashlib.sha256(result.stdout.encode()).hexdigest()}
+    for fname, data in _output_files(tmp_path / "out").items():
+        digests[fname] = hashlib.sha256(data).hexdigest()
+    assert digests == PINNED_RUN_SHA256[name]
 
 
 # -- evolve --------------------------------------------------------------------------

@@ -717,6 +717,36 @@ def test_smp_rejects_complex(k3):
         gc.check_strong_max_principle(k3, gc.VertexFunction.constant(k3, 1j))
 
 
+# -- real input --------------------------------------------------------------------------
+
+# every entry point that accepts only real functions, called on a graph g and u
+_REAL_ONLY = {
+    "pos_part": lambda g, u: gc.pos_part(u),
+    "sign_fn": lambda g, u: gc.sign_fn(u),
+    "sign_plus": lambda g, u: gc.sign_plus(u),
+    "check_kato2": lambda g, u: gc.check_kato2(g, u),
+    "Potential": lambda g, u: gc.Potential(u),
+    "check_subsolution": lambda g, u: gc.check_subsolution(g, u, gc.Potential.zero(g)),
+    "verify_gradient_estimate": lambda g, u: gc.verify_gradient_estimate(g, u),
+    "check_liouville_premises": lambda g, u: gc.check_liouville_premises(g, u, 2.0, 1.0),
+    "keller_osserman_chain": lambda g, u: gc.keller_osserman_chain(g, u, 2.0, "a"),
+    "check_strong_max_principle": lambda g, u: gc.check_strong_max_principle(g, u),
+    "evolve_heat": lambda g, u: gc.evolve_heat(
+        g, u, gc.EvolutionConfig(dt=0.1, steps=1, scheme="heat_implicit")
+    ),
+}
+
+
+@pytest.mark.parametrize("domain", ["graph", "other"])
+@pytest.mark.parametrize("name", sorted(_REAL_ONLY))
+def test_real_only_entry_points_reject_complex_first(p3, name, domain):
+    # a complex function is rejected as complex even on the wrong vertex set
+    vertices = p3.vertices if domain == "graph" else ("x", "y")
+    u = gc.VertexFunction(vertices, np.full(len(vertices), 1j))
+    with pytest.raises(gc.ComplexNotAllowedError):
+        _REAL_ONLY[name](p3, u)
+
+
 # -- spectra ---------------------------------------------------------------------------
 
 
