@@ -57,6 +57,23 @@ _TRIALS = {
 }
 CHECK_KINDS = (*_TRIALS, "liouville")
 
+# Per command, the options that only some choices (family, kind or problem)
+# read, and the choices that read them.
+_READ_ONLY_BY = {
+    "gen": {
+        "n": ("path", "cycle", "complete", "star", "gnp"),
+        "rows": ("grid2d",),
+        "cols": ("grid2d",),
+        "p": ("gnp",),
+        "seed": ("gnp",),
+    },
+    "check": dict.fromkeys(("p_exponent", "bound", "steps"), ("liouville",)),
+    "solve": {
+        **dict.fromkeys(("init_spec", "seed", "max_iters", "config_path"), ("gl",)),
+        **dict.fromkeys(("q_spec", "f_spec", "dirichlet_spec"), ("schrodinger-stationary",)),
+    },
+}
+
 
 def _digest(path) -> str:
     h = hashlib.sha256()
@@ -85,6 +102,23 @@ def _emit_manifest(ctx, out_path, graph_path, seed, config, started) -> None:
         "wall_time_s": time.perf_counter() - started,
     }
     write_json(manifest, f"{out_path}.manifest.json")
+
+
+def _reject_unread_options(ctx: click.Context, choice_param: str) -> None:
+    """Reject an option given on the command line that the chosen value of
+    ``choice_param`` (family, kind or problem) never reads."""
+    choice = ctx.params[choice_param]
+    readers = _READ_ONLY_BY[ctx.command.name]
+    for param in ctx.command.params:
+        if (
+            param.name in readers
+            and choice not in readers[param.name]
+            and ctx.get_parameter_source(param.name) is click.core.ParameterSource.COMMANDLINE
+        ):
+            raise BadParamsError(
+                f"{param.opts[0]} does not apply to {choice_param} {choice}, "
+                f"only to {', '.join(readers[param.name])}"
+            )
 
 
 def _guard(fn):
@@ -121,6 +155,7 @@ def main():
 def cmd_gen(ctx, family, n, rows, cols, p, weight, seed, out):
     """Generate a graph family and write its edge-list file."""
     started = time.perf_counter()
+    _reject_unread_options(ctx, "family")
     g = generate(family, n=n, rows=rows, cols=cols, p=p, weight=weight, seed=seed)
     write_edge_list(g, out)
     click.echo(f"vertices={g.n_vertices} edges={g.n_edges} d_constant={d_constant(g):.17g}")
@@ -167,6 +202,7 @@ def cmd_check(ctx, kind, graph_path, trials, seed, tol, p_exponent, bound, steps
         raise BadParamsError(f"trials must be >= 1, got {trials}")
     if not np.isfinite(tol):
         raise BadParamsError(f"tol must be finite, got {tol!r}")
+    _reject_unread_options(ctx, "kind")
     g = read_edge_list(graph_path)
     out = out or f"check_{kind}.json"
 
@@ -272,6 +308,7 @@ def cmd_solve(ctx, problem, graph_path, init_spec, seed, tol, max_iters, config_
     from .elliptic import Potential, SolverConfig, solve_ginzburg_landau, solve_linear_schrodinger, verify_gl_bound
 
     started = time.perf_counter()
+    _reject_unread_options(ctx, "problem")
     g = read_edge_list(graph_path)
     config = {"problem": problem, "tol": tol}
 

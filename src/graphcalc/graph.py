@@ -9,6 +9,7 @@ everywhere else in the package, so repeated runs are bitwise reproducible.
 # numpy.random in every process, even where nothing is drawn.
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from collections.abc import Callable, Iterable, Mapping
@@ -26,7 +27,7 @@ from .errors import (
     NonPositiveWeightError,
     SelfLoopError,
 )
-from .serialize import fmt_float
+from .serialize import fmt_float, write_json
 
 EdgeRecord = tuple[str, str, float]
 
@@ -38,30 +39,9 @@ _GNP_BLOCK_PAIRS = 1 << 16
 _WRITE_BLOCK_ENTRIES = 1 << 15
 
 
-def _validate_vertex_id(v) -> str:
+def _is_vertex_id(v) -> bool:
     # str.split() splits on exactly the characters str.isspace() accepts
-    if not isinstance(v, str) or v.split() != [v]:
-        raise BadParamsError(
-            f"vertex ids must be non-empty strings without whitespace, got {v!r}"
-        )
-    return v
-
-
-def _invalid_ids(names: list) -> np.ndarray:
-    """Mask of the names that are not valid vertex ids, one check per name."""
-    # One scan settles the common case: join rejects a non-string, and the
-    # joined ids split into one piece only if none has whitespace.
-    try:
-        joined = "".join(names)
-    except TypeError:
-        joined = None
-    if joined is not None and all(names) and joined.split() == [joined]:
-        return np.zeros(len(names), dtype=bool)
-    return np.fromiter(
-        (not (isinstance(v, str) and v.split() == [v]) for v in names),
-        dtype=bool,
-        count=len(names),
-    )
+    return isinstance(v, str) and v.split() == [v]
 
 
 def _raise_record_error(record_no: int, record, seen_at: int | None = None):
@@ -74,8 +54,11 @@ def _raise_record_error(record_no: int, record, seen_at: int | None = None):
         raise BadParamsError(
             f"record {record_no}: expected an (x, y, mu) triple, got {record!r}"
         ) from None
-    _validate_vertex_id(x)
-    _validate_vertex_id(y)
+    for v in (x, y):
+        if not _is_vertex_id(v):
+            raise BadParamsError(
+                f"vertex ids must be non-empty strings without whitespace, got {v!r}"
+            )
     if x == y:
         raise SelfLoopError(f"record {record_no}: self-loop at vertex {x!r}")
     try:
@@ -100,22 +83,21 @@ def _check_records(names, xi, yi, w) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ``(names[xi[k]], names[yi[k]], w[k])``, or raise the error of the first
     bad one.
 
-    A record is bad if a vertex id is invalid, it is a self-loop, its weight
-    is not finite and positive, or it repeats the unordered pair of an
-    earlier record. ``names`` must be distinct, so equal names mean equal
+    A record is bad if it is a self-loop, its weight is not finite and
+    positive, or it repeats the unordered pair of an earlier record.
+    ``names`` must be distinct valid vertex ids, so equal names mean equal
     indices.
     """
     xi = np.asarray(xi, dtype=np.int64)
     yi = np.asarray(yi, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
-    bad_id = _invalid_ids(names)
     pair = np.minimum(xi, yi) * len(names) + np.maximum(xi, yi)
     # a stable sort lists each pair's records in record order, so every
     # record after the first of its pair follows an equal key
     order = np.argsort(pair, kind="stable")
     repeat = np.zeros(len(pair), dtype=bool)
     repeat[order[1:]] = pair[order[1:]] == pair[order[:-1]]
-    bad = bad_id[xi] | bad_id[yi] | (xi == yi) | ~(np.isfinite(w) & (w > 0.0)) | repeat
+    bad = (xi == yi) | ~(np.isfinite(w) & (w > 0.0)) | repeat
     if bad.any():
         k = int(bad.argmax())
         seen_at = int(np.flatnonzero(pair[:k] == pair[k])[0]) if repeat[k] else None
@@ -141,9 +123,14 @@ def _records_to_arrays(edge_records) -> tuple[list, np.ndarray, np.ndarray, np.n
     for record_no, record in enumerate(edge_records):
         try:
             x, y, mu = record
-            i, j, mu = ids.setdefault(x, len(ids)), ids.setdefault(y, len(ids)), float(mu)
+            n = len(ids)
+            i, j, mu = ids.setdefault(x, n), ids.setdefault(y, len(ids)), float(mu)
+            # a name is checked once, in the record that brings it in
+            ok = (i < n or _is_vertex_id(x)) and (j < n or _is_vertex_id(y))
         except (TypeError, ValueError, OverflowError):
-            # not a triple, an unhashable id, or a weight float() rejects:
+            # not a triple, an unhashable id, or a weight float() rejects
+            ok = False
+        if not ok:
             # the records before this one decide first
             _check_records(list(ids), *_frombuffers(xi, yi, w))
             _raise_record_error(record_no, record)
@@ -195,8 +182,8 @@ class WeightedGraph:
         """Build the graph of the records ``(names[xi[k]], names[yi[k]], w[k])``.
 
         This is the one construction path: every generator, the edge-list
-        reader and the record constructor end here. ``names`` are distinct,
-        and each occurs in some record.
+        reader and the record constructor end here. ``names`` are distinct
+        valid vertex ids, and each occurs in some record.
         """
         g = cls.__new__(cls)
         g._build(names, xi, yi, w)
@@ -415,12 +402,9 @@ class VertexFunction:
             raise DomainMismatchError(
                 f"expected {len(vertices)} values, got shape {values.shape}"
             )
-        if np.iscomplexobj(values):
-            values = values.astype(np.complex128)
-            finite = np.isfinite(values.real) & np.isfinite(values.imag)
-        else:
-            values = values.astype(np.float64)
-            finite = np.isfinite(values)
+        # a copy; an object array (say of ints beyond int64) becomes float64
+        values = values.astype(np.complex128 if np.iscomplexobj(values) else np.float64)
+        finite = np.isfinite(values)
         if not finite.all():
             bad = vertices[int(np.flatnonzero(~finite)[0])]
             raise NonFiniteValueError(f"non-finite value at vertex {bad!r}")
@@ -429,10 +413,6 @@ class VertexFunction:
         self._values = values
         # vertex -> position, built on the first lookup
         self._index = None
-
-    @classmethod
-    def from_array(cls, graph: WeightedGraph, values) -> "VertexFunction":
-        return cls(graph.vertices, np.asarray(values))
 
     @classmethod
     def from_dict(cls, graph: WeightedGraph, mapping: Mapping[str, complex]) -> "VertexFunction":
@@ -450,8 +430,7 @@ class VertexFunction:
 
     @classmethod
     def constant(cls, graph: WeightedGraph, value: complex) -> "VertexFunction":
-        dtype = np.complex128 if isinstance(value, complex) else np.float64
-        return cls(graph.vertices, np.full(graph.n_vertices, value, dtype=dtype))
+        return cls(graph.vertices, np.full(graph.n_vertices, value))
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -478,7 +457,7 @@ class VertexFunction:
         return len(self._vertices)
 
     def as_dict(self) -> dict[str, complex]:
-        return {v: self._values[i].item() for i, v in enumerate(self._vertices)}
+        return dict(zip(self._vertices, self._values.tolist()))
 
     def __repr__(self) -> str:
         kind = "complex" if self.is_complex else "real"
@@ -714,23 +693,15 @@ def _parse_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarra
 
 def write_vertex_function(u: VertexFunction, path) -> None:
     """Write the JSON function format: vertex -> number, or -> [re, im] if complex."""
-    from .serialize import write_json
-
-    if u.is_complex:
-        obj = {v: [u.values[i].real, u.values[i].imag] for i, v in enumerate(u.vertices)}
-    else:
-        obj = {v: float(u.values[i]) for i, v in enumerate(u.vertices)}
-    write_json(obj, path)
+    write_json(u.as_dict(), path)
 
 
 def read_vertex_function(path, g: WeightedGraph) -> VertexFunction:
     """Read the JSON function format; every graph vertex must appear exactly."""
-    import json as _json
-
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = _json.load(fh)
-        except _json.JSONDecodeError as exc:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: expected a JSON object mapping vertex -> value")

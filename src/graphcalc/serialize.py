@@ -27,9 +27,9 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _write(obj, parts: list, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _write(obj, parts: list, level: int) -> None:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -43,7 +43,7 @@ def _write(obj, parts: list, indent: int, level: int) -> None:
     elif isinstance(obj, (float, np.floating)):
         parts.append(fmt_float(obj))
     elif isinstance(obj, complex):
-        _write([obj.real, obj.imag], parts, indent, level)
+        _write([obj.real, obj.imag], parts, level)
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -53,7 +53,7 @@ def _write(obj, parts: list, indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
             parts.append(pad + json.dumps(key) + ": ")
-            _write(value, parts, indent, level + 1)
+            _write(value, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(close_pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -64,17 +64,17 @@ def _write(obj, parts: list, indent: int, level: int) -> None:
         parts.append("[\n")
         for i, value in enumerate(items):
             parts.append(pad)
-            _write(value, parts, indent, level + 1)
+            _write(value, parts, level + 1)
             parts.append(",\n" if i < len(items) - 1 else "\n")
         parts.append(close_pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def json_dumps(obj, indent: int = 2) -> str:
-    """Serialize to JSON with deterministic key order and 17-digit floats."""
+def json_dumps(obj) -> str:
+    """Serialize to JSON with deterministic key order, 17-digit floats and 2-space indent."""
     parts: list = []
-    _write(obj, parts, indent, 0)
+    _write(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 

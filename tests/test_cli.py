@@ -380,6 +380,37 @@ def test_non_finite_parameter_exit_2(runner, tmp_path, monkeypatch, args):
     assert args[-1] in result.output
 
 
+# Runs that give an option their family, kind or problem never reads, and
+# the option and choice the error names
+@pytest.mark.parametrize(
+    "args, option, choice",
+    [
+        (["check", "kato1", "--p", "nan", "--bound", "-1", "--steps", "-5"], "--p", "kind kato1"),
+        (["solve", "gl", "--Q", "/nonexistent.json", "--dirichlet", "zz"], "--Q", "problem gl"),
+        (
+            ["solve", "schrodinger-stationary", "--config", "/nonexistent.json", "--init", "bogus",
+             "--seed", "9"],
+            "--init",
+            "problem schrodinger-stationary",
+        ),
+        (["gen", "--family", "path", "--n", "5", "--rows", "3", "--cols", "4", "--p", "0.5", "--seed", "1"],
+         "--rows", "family path"),
+        (["gen", "--family", "grid2d", "--rows", "3", "--cols", "3", "--n", "99"], "--n", "family grid2d"),
+    ],
+    ids=["check-kato1", "solve-gl", "solve-schrodinger-stationary", "gen-path", "gen-grid2d"],
+)
+def test_unread_option_exit_2(runner, tmp_path, monkeypatch, args, option, choice):
+    _write_graph(tmp_path, "path", n=3)
+    monkeypatch.chdir(tmp_path)
+    extra = ["-o", "out.edges"] if args[0] == "gen" else ["--graph", "g.edges"]
+    result = runner.invoke(main, [*args, *extra])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error: {option} does not apply to {choice}, only to ")
+    assert result.output.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.edges"]
+
+
 # Arguments after `--graph grid.edges` of solve and check runs whose outputs
 # are pinned below; each writes into out/.
 PINNED_RUNS = {

@@ -557,6 +557,8 @@ def test_edge_list_round_trip(tmp_path):
         gc.write_edge_list(g, path)
         g2 = gc.read_edge_list(path)
         assert g2 == g
+        # every id the reader accepts passes the record rule
+        assert gc.build_graph(g2.edges) == g2
 
 
 # SHA-256 of write_edge_list's bytes, recorded when the graph still kept a
@@ -739,6 +741,9 @@ def test_vertex_function_rejects_nonfinite(p3):
         gc.VertexFunction.from_dict(p3, {"a": 1.0, "b": float("inf"), "c": 0.0})
     with pytest.raises(gc.NonFiniteValueError):
         gc.VertexFunction.from_dict(p3, {"a": 1.0, "b": complex("nan"), "c": 0.0})
+    # only the imaginary part is non-finite
+    with pytest.raises(gc.NonFiniteValueError):
+        gc.VertexFunction.from_dict(p3, {"a": 1.0, "b": complex(1.0, float("inf")), "c": 0.0})
 
 
 def test_vertex_function_domain_must_match(p3, p2):
@@ -761,6 +766,13 @@ def test_vertex_function_accessors(p3):
     with pytest.raises(gc.DomainMismatchError, match=r"^vertex \['a'\] not in function domain$"):
         fresh[["a"]]
     assert [fresh[v] for v in p3.vertices] == [1.0, 2.0, 3.0]
+    # a numpy complex64 constant keeps its imaginary part
+    z = gc.VertexFunction.constant(p3, np.complex64(1 + 1j))
+    assert z.is_complex
+    assert z.values.dtype == np.complex128
+    assert z.as_dict() == {"a": 1 + 1j, "b": 1 + 1j, "c": 1 + 1j}
+    # numpy holds an int beyond int64 as an object; it still converts
+    assert gc.VertexFunction.constant(p3, 10**20).as_dict() == {"a": 1e20, "b": 1e20, "c": 1e20}
 
 
 def test_random_vertex_function_properties(k5):

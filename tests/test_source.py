@@ -31,3 +31,57 @@ def test_no_unused_top_level_import(path):
 def test_unused_import_is_found():
     tree = ast.parse("import os\nfrom a import b, c as d\nfrom __future__ import annotations\nb()\n")
     assert _unused_top_level_imports(tree) == ["os", "d"]
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) of each private name the module binds at top level:
+    a ``_x`` function, class or assignment target (dunder names excluded)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(name, node) for name in names if name.startswith("_") and not name.endswith("__")]
+    return found
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names read in ``node``, bare or as an attribute of another object."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` of each top-level private name that no statement of
+    any of the modules reads, except the one defining it."""
+    reads = [(node, _reads(node)) for tree in trees.values() for node in tree.body]
+    unread = []
+    for module, tree in trees.items():
+        for name, defining in _private_definitions(tree):
+            if not any(name in names for node, names in reads if node is not defining):
+                unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_every_private_name_is_read():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in _SOURCES}
+    assert sum(len(_private_definitions(tree)) for tree in trees.values()) > 0
+    assert _unread_private_names(trees) == []
+
+
+def test_unread_private_name_is_found():
+    a = ast.parse(
+        "_A = 1\n_B: int = 2\n__all__ = []\n"
+        "def _f():\n    return _f()\n"
+        "def _g():\n    return _A\n"
+        "class _C:\n    pass\n"
+    )
+    b = ast.parse("import a\na._C()\n")
+    assert _unread_private_names({"a": a, "b": b}) == ["a._B", "a._f", "a._g"]
