@@ -34,7 +34,7 @@ class SlackView(Mapping):
     on the first lookup.
     """
 
-    __slots__ = ("_keys", "_index", "_values", "_imin", "_dict")
+    __slots__ = ("_keys", "_index", "_values", "_dict")
 
     def __init__(self, keys: tuple[str, ...], values: np.ndarray, *, index=None):
         values = np.asarray(values, dtype=np.float64)
@@ -42,14 +42,7 @@ class SlackView(Mapping):
         self._keys = keys
         self._index = index
         self._values = values
-        self._imin = None
         self._dict = None
-
-    def _first_min_index(self) -> int:
-        # argmin returns the first minimal entry, and the first NaN if any
-        if self._imin is None:
-            self._imin = int(np.argmin(self._values))
-        return self._imin
 
     def first_min(self) -> float:
         """The first minimal entry, as the builtin ``min`` returns it on NaN-free
@@ -57,14 +50,15 @@ class SlackView(Mapping):
         infinity if there are no entries."""
         if not len(self._values):
             return float("inf")
-        return float(self._values[self._first_min_index()])
+        # argmin returns the first minimal entry, and the first NaN if any
+        return float(self._values[np.argmin(self._values)])
 
     def worst_key(self) -> str | None:
         """The smallest key among the minimal entries (among the NaN entries,
         if any); None if there are no entries."""
         if not len(self._values):
             return None
-        m = self._values[self._first_min_index()]
+        m = self._values[np.argmin(self._values)]
         tied = np.flatnonzero(np.isnan(self._values) if np.isnan(m) else self._values == m)
         if self._index is not None:
             tied = self._index[tied]
@@ -277,6 +271,17 @@ def _combinatorial_laplacian(g: WeightedGraph) -> "scipy.sparse.csr_matrix":
     import scipy.sparse as sp
 
     return (sp.diags(g.degrees) - g.weight_matrix).tocsr()
+
+
+def _splu(matrix: "scipy.sparse.spmatrix", error: type[Exception]) -> "scipy.sparse.linalg.SuperLU":
+    """The sparse LU factors of ``matrix``; ``error`` is raised when SuperLU
+    meets an exactly zero pivot."""
+    import scipy.sparse.linalg as spla
+
+    try:
+        return spla.splu(matrix.tocsc())
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise error(f"factorization failed: {exc}") from None
 
 
 def laplacian(g: WeightedGraph, u: VertexFunction) -> VertexFunction:

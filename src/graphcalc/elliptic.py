@@ -23,6 +23,7 @@ from .calculus import (
     _grad_sq_values,
     _laplacian_values,
     _require_real,
+    _splu,
 )
 from .errors import (
     BadParamsError,
@@ -76,12 +77,19 @@ class SolverConfig(JsonRecord):
             raise BadParamsError(
                 f"solver configuration must be an object with keys among {list(types)}, got {obj!r}"
             )
+        kwargs = {}
         for name, value in obj.items():  # a float field takes any JSON number, no field a bool
             accepted = (int, float) if types[name] is float else types[name]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 expected = getattr(types[name], "__name__", types[name])
                 raise BadParamsError(f"solver configuration {name!r} must be {expected}, got {value!r}")
-        return cls(**{name: float(v) if types[name] is float else v for name, v in obj.items()})
+            if types[name] is float:
+                try:
+                    value = float(value)
+                except OverflowError:  # an integer beyond the double range, read as 1e400 is
+                    value = math.inf if value > 0 else -math.inf
+            kwargs[name] = value
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,6 @@ def solve_linear_schrodinger(
     is complex.
     """
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
 
     if not (np.isfinite(tol) and tol >= 0):
         raise BadParamsError(f"tol must be nonnegative and finite, got {tol!r}")
@@ -125,9 +132,11 @@ def solve_linear_schrodinger(
     qv = require_same_domain(g, Q.values)
     n = g.n_vertices
 
-    pairs = dict(dirichlet.items()) if hasattr(dirichlet, "items") else dict(dirichlet or ())
+    pairs = dict(dirichlet or ())
     bidx = np.array(sorted(g.index_of(v) for v in pairs), dtype=np.int64)
-    bvals = np.array([pairs[g.vertices[i]] for i in bidx])
+    bverts = tuple(g.vertices[i] for i in bidx.tolist())
+    # as a function on its vertices, a non-finite value is rejected before any solve
+    bvals = VertexFunction(bverts, [pairs[v] for v in bverts]).values
     complex_mode = np.iscomplexobj(fv) or np.iscomplexobj(bvals)
     dtype = np.complex128 if complex_mode else np.float64
 
@@ -137,8 +146,7 @@ def solve_linear_schrodinger(
     rhs_full = g.degrees * fv
 
     u = np.zeros(n, dtype=dtype)
-    if len(bidx):
-        u[bidx] = bvals
+    u[bidx] = bvals
 
     if free.size:
         S_ff = S[np.ix_(free, free)]
@@ -147,9 +155,7 @@ def solve_linear_schrodinger(
             rhs = rhs - S[np.ix_(free, bidx)] @ u[bidx]
         pure_neumann = len(bidx) == 0 and float(np.max(qv)) == 0.0
         if pure_neumann:
-            compat = float(np.sum(g.degrees * fv.real)) if not complex_mode else complex(
-                np.sum(g.degrees * fv)
-            )
+            compat = np.sum(g.degrees * fv).item()
             scale = max(1.0, float(np.max(np.abs(rhs_full))))
             if abs(compat) > tol * scale * n:
                 raise IncompatibleRHSError(
@@ -158,11 +164,7 @@ def solve_linear_schrodinger(
             gauge = sp.csr_matrix(g.degrees[None, :])
             S_ff = sp.bmat([[S_ff, gauge.T], [gauge, None]])
             rhs = np.append(rhs, 0.0)
-        try:
-            lu = spla.splu(S_ff.astype(dtype).tocsc())
-        except RuntimeError as exc:
-            raise SingularSystemError(f"factorization failed: {exc}") from None
-        u[free] = lu.solve(rhs)[: free.size]
+        u[free] = _splu(S_ff.astype(dtype), SingularSystemError).solve(rhs)[: free.size]
 
     residual = _laplacian_values(g, u) * -1.0 + qv * u - fv
     res = float(np.max(np.abs(residual[free]))) if free.size else 0.0
@@ -193,7 +195,6 @@ def _gl_newton_step(P: "scipy.sparse.csr_matrix", v: np.ndarray, r: np.ndarray) 
     is not finite, which sends the caller to its fixed-point fallback.
     """
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
 
     if np.iscomplexobj(v):
         a, b = v.real, v.imag
@@ -208,10 +209,7 @@ def _gl_newton_step(P: "scipy.sparse.csr_matrix", v: np.ndarray, r: np.ndarray) 
     else:
         jac = P - sp.diags(3.0 * v * v)
         rhs = -r
-    try:
-        delta = spla.splu(jac.tocsc()).solve(rhs)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise np.linalg.LinAlgError(str(exc)) from None
+    delta = _splu(jac, np.linalg.LinAlgError).solve(rhs)
     if not np.all(np.isfinite(delta)):
         raise np.linalg.LinAlgError("non-finite Newton step")
     if np.iscomplexobj(v):
@@ -268,12 +266,11 @@ def solve_ginzburg_landau(
         took_step = False
         try:
             delta = _gl_newton_step(P, v, r)
-            singular = False
         except np.linalg.LinAlgError:
-            singular = True
-        if not singular:
-            t = 1.0
-            for _ in range(max_backtracks):
+            delta = None
+        if delta is not None:
+            for k in range(max_backtracks):
+                t = 0.5**k
                 cand = v + t * delta
                 cand_r = _gl_residual(g, cand)
                 cand_rn = float(np.max(np.abs(cand_r)))
@@ -284,7 +281,6 @@ def solve_ginzburg_landau(
                     iterations += 1
                     took_step = True
                     break
-                t *= 0.5
 
         if not took_step or stagnant:
             damping_events += 1
@@ -299,7 +295,7 @@ def solve_ginzburg_landau(
                 if not np.isfinite(rn) or rn > 100.0 * max(entry_rn, 1e-8):
                     break
             streak = min(2 * streak, 50_000)
-            if singular and rn >= entry_rn:
+            if delta is None and rn >= entry_rn:
                 singular_stalls += 1
                 if singular_stalls >= 10:
                     raise SingularJacobianError(

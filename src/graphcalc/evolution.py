@@ -21,7 +21,7 @@ every solve's residual is checked. One method serves every graph size, so
 the residual check means the same thing at every n.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -32,6 +32,7 @@ from .calculus import (
     _combinatorial_laplacian,
     _laplacian_values,
     _require_real,
+    _splu,
     dirichlet_energy,
     free_energy,
     mass,
@@ -80,7 +81,8 @@ class EvolutionTrace:
     """Mass/energy/envelope time series sampled every ``stride`` steps.
 
     Rows cover steps 0, stride, 2*stride, ...; with N total steps there are
-    floor(N / stride) + 1 rows including the initial state.
+    floor(N / stride) + 1 rows including the initial state. The fields are
+    the CSV columns, in file order: the step, then floats.
     """
 
     steps: list[int]
@@ -92,16 +94,17 @@ class EvolutionTrace:
 
     @classmethod
     def empty(cls) -> "EvolutionTrace":
-        return cls([], [], [], [], [], [])
+        return cls(*([] for _ in fields(cls)))
+
+    def _columns(self) -> list[list]:
+        return [getattr(self, f.name) for f in fields(self)]
 
     def record(self, g: WeightedGraph, step: int, dt: float, values: np.ndarray) -> None:
         u = VertexFunction(g.vertices, values)
-        self.steps.append(step)
-        self.times.append(step * dt)
-        self.mass.append(mass(g, u))
-        self.dirichlet_energy.append(dirichlet_energy(g, u))
-        self.free_energy.append(free_energy(g, u))
-        self.max_abs.append(float(np.max(np.abs(values))))
+        row = (step, step * dt, mass(g, u), dirichlet_energy(g, u), free_energy(g, u),
+               float(np.max(np.abs(values))))
+        for column, value in zip(self._columns(), row):
+            column.append(value)
 
     def n_rows(self) -> int:
         return len(self.steps)
@@ -109,16 +112,13 @@ class EvolutionTrace:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for i in range(self.n_rows()):
-                fh.write(
-                    f"{self.steps[i]},{fmt_float(self.times[i])},{fmt_float(self.mass[i])},"
-                    f"{fmt_float(self.dirichlet_energy[i])},{fmt_float(self.free_energy[i])},"
-                    f"{fmt_float(self.max_abs[i])}\n"
-                )
+            for step, *rest in zip(*self._columns()):
+                fh.write(",".join([str(step), *map(fmt_float, rest)]) + "\n")
 
     @classmethod
     def read_csv(cls, path) -> "EvolutionTrace":
         trace = cls.empty()
+        columns = trace._columns()
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != TRACE_HEADER:
@@ -126,24 +126,31 @@ class EvolutionTrace:
             for line in fh:
                 if not line.strip():
                     continue
-                parts = line.strip().split(",")
-                if len(parts) != 6:
-                    raise FileFormatError(f"{path}: bad row {line!r}")
-                trace.steps.append(int(parts[0]))
-                trace.times.append(float(parts[1]))
-                trace.mass.append(float(parts[2]))
-                trace.dirichlet_energy.append(float(parts[3]))
-                trace.free_energy.append(float(parts[4]))
-                trace.max_abs.append(float(parts[5]))
+                step, *rest = line.strip().split(",")
+                try:  # a cell that does not parse, or a wrong count of cells
+                    for column, value in zip(columns, (int(step), *map(float, rest)), strict=True):
+                        column.append(value)
+                except ValueError:
+                    raise FileFormatError(f"{path}: bad row {line!r}") from None
         return trace
+
+
+def _envelope_slack(diag: "MaxPrincipleDiag") -> np.ndarray:
+    """The (steps, 2) array of envelope slacks: row k - 1 holds
+    max[k-1] - max[k] and min[k] - min[k-1], each required >= -tol."""
+    maxes = np.asarray(diag.max_values, dtype=np.float64)
+    mins = np.asarray(diag.min_values, dtype=np.float64)
+    # maxes[k] - maxes[k + 1], not -np.diff(maxes), which turns 0.0 into -0.0
+    return np.column_stack((maxes[:-1] - maxes[1:], np.diff(mins)))
 
 
 @dataclass(frozen=True)
 class MaxPrincipleDiag:
     """Signed per-step max/min envelopes of a heat run (recorded every step).
 
-    ``first_violation_step`` is the first step k with max[k] > max[k-1] + tol
-    or min[k] < min[k-1] - tol, or None; ``monotone`` says there is none.
+    ``first_violation_step`` is the first step k whose envelope slack, as
+    :func:`check_parabolic_max` reports it, is not >= -tol, or None;
+    ``monotone`` says there is none.
     """
 
     max_values: tuple[float, ...]
@@ -152,12 +159,8 @@ class MaxPrincipleDiag:
 
     @property
     def first_violation_step(self) -> int | None:
-        maxes, mins, tol = self.max_values, self.min_values, self.tol
-        return next(
-            (k for k in range(1, len(maxes))
-             if maxes[k] > maxes[k - 1] + tol or mins[k] < mins[k - 1] - tol),
-            None,
-        )
+        bad = np.flatnonzero(~(_envelope_slack(self) >= -self.tol).all(axis=1))
+        return int(bad[0]) + 1 if len(bad) else None
 
     @property
     def monotone(self) -> bool:
@@ -174,13 +177,8 @@ def _implicit_stepper(g: WeightedGraph, matrix: "scipy.sparse.spmatrix", b, solv
     is raised when the factorization meets an exactly zero pivot, and when a
     solve's residual exceeds 100 * solve_tol relative to the right-hand side.
     """
-    import scipy.sparse.linalg as spla
-
     csr = matrix.tocsr()
-    try:
-        lu = spla.splu(matrix.tocsc())
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise LinearSolveFailureError(f"factorization failed: {exc}") from None
+    lu = _splu(matrix, LinearSolveFailureError)
 
     def step(v: np.ndarray) -> np.ndarray:
         rhs = b * g.degrees * _laplacian_values(g, v)
@@ -319,8 +317,7 @@ def check_parabolic_max(diag: MaxPrincipleDiag, tol: float = ENVELOPE_TOL) -> Ce
     width = max(1, len(str(n_steps)))
     labels = [f"{n:0{width}d}" for n in range(1, n_steps + 1)]
     keys = [f"{kind}[{label}]" for label in labels for kind in ("max", "min")]
-    # maxes[n] - maxes[n + 1], not -np.diff(maxes), which turns 0.0 into -0.0
-    slack = np.column_stack((maxes[:-1] - maxes[1:], np.diff(mins))).ravel()
+    slack = _envelope_slack(diag).ravel()
 
     spread = maxes[1:] - mins[1:]
     hits = np.flatnonzero((maxes[1:] >= maxes[0]) & (spread > tol))

@@ -424,9 +424,9 @@ class VertexFunction:
                 f"(missing {sorted(missing)[:5]!r}, extra {sorted(extra)[:5]!r})"
             )
         raw = [mapping[v] for v in graph.vertices]
-        if any(isinstance(x, complex) for x in raw):
-            return cls(graph.vertices, np.array(raw, dtype=np.complex128))
-        return cls(graph.vertices, np.array(raw, dtype=np.float64))
+        # not np.array(raw), which makes a None value a TypeError, not non-finite
+        is_complex = any(isinstance(x, (complex, np.complexfloating)) for x in raw)
+        return cls(graph.vertices, np.array(raw, dtype=np.complex128 if is_complex else np.float64))
 
     @classmethod
     def constant(cls, graph: WeightedGraph, value: complex) -> "VertexFunction":
@@ -697,26 +697,21 @@ def write_vertex_function(u: VertexFunction, path) -> None:
 
 
 def read_vertex_function(path, g: WeightedGraph) -> VertexFunction:
-    """Read the JSON function format; every graph vertex must appear exactly."""
+    """Read the JSON function format; every graph vertex must appear exactly.
+
+    Every number is read as a double, so an integer beyond the double range
+    is infinite, as 1e400 is, and the function rejects it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_int=float)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: expected a JSON object mapping vertex -> value")
-    parsed: dict[str, complex] = {}
     for key, val in obj.items():
-        if isinstance(val, (int, float)) and not isinstance(val, bool):
-            parsed[key] = float(val)
-        elif (
-            isinstance(val, list)
-            and len(val) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in val)
-        ):
-            parsed[key] = complex(val[0], val[1])
-        else:
-            raise FileFormatError(
-                f"{path}: value for {key!r} must be a number or a [re, im] pair"
-            )
-    return VertexFunction.from_dict(g, parsed)
+        if isinstance(val, list) and len(val) == 2 and all(isinstance(c, float) for c in val):
+            obj[key] = complex(*val)
+        elif not isinstance(val, float):
+            raise FileFormatError(f"{path}: value for {key!r} must be a number or a [re, im] pair")
+    return VertexFunction.from_dict(g, obj)

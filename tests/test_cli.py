@@ -380,6 +380,38 @@ def test_non_finite_parameter_exit_2(runner, tmp_path, monkeypatch, args):
     assert args[-1] in result.output
 
 
+_HUGE = "1" * 400  # an integer beyond the double range
+
+
+# Runs whose input holds a number that is no finite double, the files they
+# read, and the message
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "args, files, message",
+    [
+        (["solve", "schrodinger-stationary", "--f", "f.json"],
+         {"f.json": f'{{"v0": {_HUGE}, "v1": 0, "v2": 0}}'}, "non-finite value at vertex 'v0'"),
+        (["evolve", "schrodinger", "--u0", "u.json", "--dt", "0.1", "--steps", "2"],
+         {"u.json": f'{{"v0": [1, {_HUGE}], "v1": 0, "v2": 0}}'}, "non-finite value at vertex 'v0'"),
+        (["solve", "gl", "--config", "c.json"], {"c.json": f'{{"tol": {_HUGE}}}'},
+         "invalid solver configuration SolverConfig(tol=inf, "),
+        (["solve", "schrodinger-stationary", "--dirichlet", "v0=1e400,v2=1"], {},
+         "non-finite value at vertex 'v0'"),
+    ],
+    ids=["solve-f", "evolve-u0", "solve-gl-config", "solve-dirichlet"],
+)
+def test_non_finite_input_exit_2(runner, tmp_path, monkeypatch, args, files, message):
+    _write_graph(tmp_path, "path", n=3)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, [*args, "--graph", "g.edges"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error: {message}")
+    assert result.output.count("\n") == 1
+
+
 # Runs that give an option their family, kind or problem never reads, and
 # the option and choice the error names
 @pytest.mark.parametrize(

@@ -729,6 +729,17 @@ def test_vertex_function_file_domain_errors(tmp_path, p3):
     path.write_text("not json")
     with pytest.raises(gc.FileFormatError):
         gc.read_vertex_function(path, p3)
+    # a bool is not a number, alone or in a pair, and a pair has two parts
+    for bad in ("true", "[1, false]", "[1, 2, 3]"):
+        path.write_text(f'{{"a": {bad}, "b": 2.0, "c": 3.0}}')
+        with pytest.raises(gc.FileFormatError):
+            gc.read_vertex_function(path, p3)
+    # every number is read as a double: an integer beyond the double range
+    # is infinite, as 1e400 is, in a real value or a pair
+    for big in ("1" * 400, "[1, -" + "1" * 400 + "]", "1e400"):
+        path.write_text(f'{{"a": 1, "b": {big}, "c": 3}}')
+        with pytest.raises(gc.NonFiniteValueError, match="^non-finite value at vertex 'b'$"):
+            gc.read_vertex_function(path, p3)
 
 
 # -- vertex functions ------------------------------------------------------------------
@@ -744,6 +755,10 @@ def test_vertex_function_rejects_nonfinite(p3):
     # only the imaginary part is non-finite
     with pytest.raises(gc.NonFiniteValueError):
         gc.VertexFunction.from_dict(p3, {"a": 1.0, "b": complex(1.0, float("inf")), "c": 0.0})
+    # a None value, beside a real or a numpy complex one
+    for other in (1.0, np.complex64(1j)):
+        with pytest.raises(gc.NonFiniteValueError):
+            gc.VertexFunction.from_dict(p3, {"a": other, "b": None, "c": 0.0})
 
 
 def test_vertex_function_domain_must_match(p3, p2):
@@ -771,6 +786,10 @@ def test_vertex_function_accessors(p3):
     assert z.is_complex
     assert z.values.dtype == np.complex128
     assert z.as_dict() == {"a": 1 + 1j, "b": 1 + 1j, "c": 1 + 1j}
+    # and so does a numpy complex64 value in a mapping
+    w = gc.VertexFunction.from_dict(p3, {"a": np.complex64(1 + 1j), "b": 0.0, "c": 2})
+    assert w.is_complex
+    assert w.as_dict() == {"a": 1 + 1j, "b": 0j, "c": 2 + 0j}
     # numpy holds an int beyond int64 as an object; it still converts
     assert gc.VertexFunction.constant(p3, 10**20).as_dict() == {"a": 1e20, "b": 1e20, "c": 1e20}
 

@@ -70,8 +70,12 @@ def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
     return unread
 
 
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in _SOURCES}
+
+
 def test_every_private_name_is_read():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in _SOURCES}
+    trees = _package_trees()
     assert sum(len(_private_definitions(tree)) for tree in trees.values()) > 0
     assert _unread_private_names(trees) == []
 
@@ -85,3 +89,42 @@ def test_unread_private_name_is_found():
     )
     b = ast.parse("import a\na._C()\n")
     assert _unread_private_names({"a": a, "b": b}) == ["a._B", "a._f", "a._g"]
+
+
+def _functions_naming(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """``module.function`` or ``module.Class.method`` of each top-level
+    function or method whose body reads ``name``, bare or as an attribute."""
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [
+                    (f"{node.name}.{fn.name}", fn)
+                    for fn in node.body
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            else:
+                continue
+            found += [f"{module}.{qual}" for qual, fn in defs if any(name in _reads(s) for s in fn.body)]
+    return found
+
+
+# A rule stated once: the name that carries it, and the one function that may read it
+@pytest.mark.parametrize(
+    "name, owner",
+    [("splu", "calculus._splu"), ("ComplexNotAllowedError", "calculus._require_real")],
+)
+def test_rule_is_stated_in_one_function(name, owner):
+    assert _functions_naming(_package_trees(), name) == [owner]
+
+
+def test_second_function_naming_a_rule_is_found():
+    tree = ast.parse(
+        "import s\nsplu = 1\n"
+        "def f():\n    return s.splu(1)\n"
+        "def g(x=splu):\n    return x\n"
+        "class C:\n    def m(self):\n        def h():\n            return splu\n        return h\n"
+    )
+    assert _functions_naming({"a": tree}, "splu") == ["a.f", "a.C.m"]
