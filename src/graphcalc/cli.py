@@ -11,7 +11,6 @@ import functools
 import gc
 import hashlib
 import importlib
-import json
 import sys
 import time
 
@@ -30,7 +29,7 @@ from .graph import (
     write_edge_list,
     write_vertex_function,
 )
-from .serialize import write_json
+from .serialize import read_json, write_json
 
 # Each command imports the library module it runs in its own body, so a
 # process loads calculus, elliptic or evolution only when its command needs it.
@@ -104,17 +103,17 @@ def _emit_manifest(ctx, out_path, graph_path, seed, config, started) -> None:
     write_json(manifest, f"{out_path}.manifest.json")
 
 
+def _on_command_line(ctx: click.Context, name: str) -> bool:
+    return ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE
+
+
 def _reject_unread_options(ctx: click.Context, choice_param: str) -> None:
     """Reject an option given on the command line that the chosen value of
     ``choice_param`` (family, kind or problem) never reads."""
     choice = ctx.params[choice_param]
     readers = _READ_ONLY_BY[ctx.command.name]
     for param in ctx.command.params:
-        if (
-            param.name in readers
-            and choice not in readers[param.name]
-            and ctx.get_parameter_source(param.name) is click.core.ParameterSource.COMMANDLINE
-        ):
+        if param.name in readers and choice not in readers[param.name] and _on_command_line(ctx, param.name):
             raise BadParamsError(
                 f"{param.opts[0]} does not apply to {choice_param} {choice}, "
                 f"only to {', '.join(readers[param.name])}"
@@ -279,8 +278,11 @@ def _parse_dirichlet(spec):
         if "=" not in chunk:
             raise BadParamsError(f"dirichlet entry {chunk!r} must look like vertex=value")
         vertex, raw = chunk.split("=", 1)
+        vertex = vertex.strip()
+        if vertex in pairs:
+            raise BadParamsError(f"dirichlet vertex {vertex!r} is given twice")
         try:
-            pairs[vertex.strip()] = float(raw)
+            pairs[vertex] = float(raw)
         except ValueError:
             raise BadParamsError(f"dirichlet value {raw!r} is not a number") from None
     return pairs
@@ -309,13 +311,16 @@ def cmd_solve(ctx, problem, graph_path, init_spec, seed, tol, max_iters, config_
 
     started = time.perf_counter()
     _reject_unread_options(ctx, "problem")
+    if config_path is not None:  # the file's settings replace both, so the run would not read them
+        for option, name in (("--tol", "tol"), ("--max-iters", "max_iters")):
+            if _on_command_line(ctx, name):
+                raise BadParamsError(f"{option} does not apply beside --config; set {name} in the file")
     g = read_edge_list(graph_path)
     config = {"problem": problem, "tol": tol}
 
     if problem == "gl":
         if config_path is not None:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                solver_config = SolverConfig.from_json_dict(json.load(fh))
+            solver_config = SolverConfig.from_json_dict(read_json(config_path))
             if solver_config.seed is not None:
                 seed = solver_config.seed
             config["solver"] = solver_config.to_json_dict()

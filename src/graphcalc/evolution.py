@@ -204,16 +204,14 @@ def _cayley_start(g: WeightedGraph, u: VertexFunction, dt: float, solve_tol: flo
     return values, _implicit_stepper(g, matrix, 1j * dt, solve_tol)
 
 
-def _evolve(g: WeightedGraph, cfg: EvolutionConfig, scheme: EvolutionScheme, caller: str, start):
-    """The time loop of every flow: ``cfg.steps`` steps, traced every ``cfg.stride``.
-
-    ``start()`` returns the initial values and the step function. It runs
-    only after ``cfg.scheme`` has been checked, so a wrong scheme is rejected
-    before anything is factorized.
-    """
+def _require_scheme(cfg: EvolutionConfig, scheme: EvolutionScheme, caller: str) -> None:
     if cfg.scheme is not scheme:
         raise BadParamsError(f"{caller} needs scheme={scheme.value}, got {cfg.scheme}")
-    values, step = start()
+
+
+def _evolve(g: WeightedGraph, cfg: EvolutionConfig, values: np.ndarray, step):
+    """The time loop of every flow: ``cfg.steps`` steps of ``step`` from
+    ``values``, traced every ``cfg.stride``."""
     trace = EvolutionTrace.empty()
     trace.record(g, 0, cfg.dt, values)
     for k in range(1, cfg.steps + 1):
@@ -232,25 +230,24 @@ def evolve_heat(
     state, the strided trace, and the per-step signed envelope record (max
     non-increasing, min non-decreasing to ENVELOPE_TOL).
     """
-    maxes: list[float] = []
-    mins: list[float] = []
+    _require_scheme(cfg, EvolutionScheme.HEAT_IMPLICIT, "evolve_heat")
+    import scipy.sparse as sp
 
-    def envelope(v: np.ndarray) -> np.ndarray:
+    _require_real(u0, "evolve_heat")
+    values = require_same_domain(g, u0)
+    # (1 + dt) d, not d + dt d, which rounds differently for some degrees
+    matrix = (1.0 + cfg.dt) * sp.diags(g.degrees) - cfg.dt * g.weight_matrix
+    implicit = _implicit_stepper(g, matrix, cfg.dt, cfg.solve_tol)
+    maxes = [float(np.max(values))]
+    mins = [float(np.min(values))]
+
+    def step(v: np.ndarray) -> np.ndarray:
+        v = implicit(v)
         maxes.append(float(np.max(v)))
         mins.append(float(np.min(v)))
         return v
 
-    def start():
-        import scipy.sparse as sp
-
-        _require_real(u0, "evolve_heat")
-        values = require_same_domain(g, u0)
-        # (1 + dt) d, not d + dt d, which rounds differently for some degrees
-        matrix = (1.0 + cfg.dt) * sp.diags(g.degrees) - cfg.dt * g.weight_matrix
-        step = _implicit_stepper(g, matrix, cfg.dt, cfg.solve_tol)
-        return envelope(values), lambda v: envelope(step(v))
-
-    final, trace = _evolve(g, cfg, EvolutionScheme.HEAT_IMPLICIT, "evolve_heat", start)
+    final, trace = _evolve(g, cfg, values, step)
     return final, trace, MaxPrincipleDiag(tuple(maxes), tuple(mins), ENVELOPE_TOL)
 
 
@@ -272,10 +269,8 @@ def schrodinger_evolve(
     The step is unitary in the degree norm, so the mass and Dirichlet-energy
     columns of the trace are constant up to the linear-solve residual.
     """
-    return _evolve(
-        g, cfg, EvolutionScheme.SCHRODINGER_CN, "schrodinger_evolve",
-        lambda: _cayley_start(g, u0, cfg.dt, cfg.solve_tol),
-    )
+    _require_scheme(cfg, EvolutionScheme.SCHRODINGER_CN, "schrodinger_evolve")
+    return _evolve(g, cfg, *_cayley_start(g, u0, cfg.dt, cfg.solve_tol))
 
 
 def gp_evolve(
@@ -288,20 +283,19 @@ def gp_evolve(
     pointwise. Both sub-flows are degree-norm isometries, so mass is
     conserved to solver tolerance; the free energy drifts at O(dt^2).
     """
+    _require_scheme(cfg, EvolutionScheme.GP_STRANG, "gp_evolve")
+    values, cn = _cayley_start(g, u0, cfg.dt, cfg.solve_tol)
     half = 0.5 * cfg.dt
 
     def phase(v: np.ndarray) -> np.ndarray:
         return v * np.exp(-1j * (_abs2(v) - 1.0) * half)
 
-    def start():
-        values, cn = _cayley_start(g, u0, cfg.dt, cfg.solve_tol)
-        return values, lambda v: phase(cn(phase(v)))
-
-    return _evolve(g, cfg, EvolutionScheme.GP_STRANG, "gp_evolve", start)
+    return _evolve(g, cfg, values, lambda v: phase(cn(phase(v))))
 
 
-def check_parabolic_max(diag: MaxPrincipleDiag, tol: float = ENVELOPE_TOL) -> CertificateReport:
-    """Certify monotone envelopes from a heat-run diagnostic.
+def check_parabolic_max(diag: MaxPrincipleDiag) -> CertificateReport:
+    """Certify monotone envelopes from a heat-run diagnostic at the diag's
+    own tolerance, tol = ``diag.tol``.
 
     Per transition n -> n+1 the slacks are max_n - max_{n+1} and
     min_{n+1} - min_n, both required >= -tol. Additionally, if some step
@@ -311,6 +305,7 @@ def check_parabolic_max(diag: MaxPrincipleDiag, tol: float = ENVELOPE_TOL) -> Ce
     falls by less than ``tol`` has still fallen: reaching the initial max
     means equalling or exceeding it, not coming within ``tol`` of it.
     """
+    tol = diag.tol
     maxes = np.asarray(diag.max_values, dtype=np.float64)
     mins = np.asarray(diag.min_values, dtype=np.float64)
     n_steps = len(maxes) - 1

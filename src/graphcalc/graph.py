@@ -9,7 +9,6 @@ everywhere else in the package, so repeated runs are bitwise reproducible.
 # numpy.random in every process, even where nothing is drawn.
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from collections.abc import Callable, Iterable, Mapping
@@ -27,7 +26,7 @@ from .errors import (
     NonPositiveWeightError,
     SelfLoopError,
 )
-from .serialize import fmt_float, write_json
+from .serialize import fmt_float, read_json, write_json
 
 EdgeRecord = tuple[str, str, float]
 
@@ -702,11 +701,7 @@ def read_vertex_function(path, g: WeightedGraph) -> VertexFunction:
     Every number is read as a double, so an integer beyond the double range
     is infinite, as 1e400 is, and the function rejects it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh, parse_int=float)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
+    obj = read_json(path, parse_int=float)
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: expected a JSON object mapping vertex -> value")
     for key, val in obj.items():

@@ -12,6 +12,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import FileFormatError
+
 
 def fmt_float(x: float) -> str:
     """Render a float with 17 significant digits.
@@ -82,6 +84,30 @@ def json_dumps(obj) -> str:
 def write_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_dumps(obj))
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} repeated in one object")
+            seen.add(key)
+    return obj
+
+
+def read_json(path, parse_int=None):
+    """Read a JSON file; ``parse_int`` is :func:`json.load`'s.
+
+    Invalid JSON, an integer longer than Python's digit limit and a key
+    repeated in one object raise FileFormatError naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_int=parse_int, object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _field_json(value):

@@ -488,8 +488,8 @@ def test_report_min_slack_is_first_minimal_entry():
 
 def test_worst_vertex_breaks_ties_by_smallest_key():
     # parabolic keys are not sorted: max[1], min[1], max[2], min[2], interior_sup[2]
-    diag = gc.MaxPrincipleDiag(max_values=(1.0, 1.0, 1.0), min_values=(0.0, 0.0, 0.0), tol=1e-12)
-    report = gc.check_parabolic_max(diag, tol=2.0)
+    diag = gc.MaxPrincipleDiag(max_values=(1.0, 1.0, 1.0), min_values=(0.0, 0.0, 0.0), tol=2.0)
+    report = gc.check_parabolic_max(diag)
     assert list(report.slack) == ["max[1]", "min[1]", "max[2]", "min[2]"]
     assert report.worst_vertex() == "max[1]"
     report = gc.CertificateReport("ties", slack={"c": -1.0, "b": 2.0, "a": -1.0}, tol=0.0)

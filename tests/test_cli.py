@@ -300,11 +300,13 @@ def test_solve_schrodinger_stationary_hand_case(runner, tmp_path):
 
 def test_solve_bad_dirichlet_exit_2(runner, tmp_path):
     _, gpath = _write_graph(tmp_path, "path", n=3)
-    result = runner.invoke(
-        main,
-        ["solve", "schrodinger-stationary", "--graph", str(gpath), "--dirichlet", "a=zz"],
-    )
-    assert result.exit_code == 2
+    # a value that is no number, and a vertex given twice
+    for spec in ("a=zz", "v0=1,v0=2,v2=0"):
+        result = runner.invoke(
+            main,
+            ["solve", "schrodinger-stationary", "--graph", str(gpath), "--dirichlet", spec],
+        )
+        assert result.exit_code == 2
 
 
 def test_solve_gl_with_config_file(runner, tmp_path):
@@ -350,6 +352,40 @@ def test_solve_gl_unusable_config_exit_2(runner, tmp_path, config):
     assert result.exit_code == 2, result.output
     assert result.output.startswith("error: ")
     assert result.output.count("\n") == 1
+
+
+# Config files that are no usable JSON: each error names the file
+@pytest.mark.parametrize(
+    "config",
+    ["{bad", '{"max_iters": ' + "1" * 5000 + "}", '{"tol": 1e-10, "tol": 1e-3}'],
+    ids=["syntax", "digit-limit", "repeated-key"],
+)
+def test_solve_gl_invalid_json_config_exit_2(runner, tmp_path, monkeypatch, config):
+    _write_graph(tmp_path, "path", n=3)
+    (tmp_path / "c.json").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["solve", "gl", "--graph", "g.edges", "--config", "c.json"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: c.json: invalid JSON (")
+    assert result.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("option, value", [("--tol", "1e-3"), ("--max-iters", "5")])
+def test_solve_gl_config_rejects_solver_options(runner, tmp_path, monkeypatch, option, value):
+    # the file's settings replace --tol and --max-iters, so the run would not read them
+    _write_graph(tmp_path, "path", n=3)
+    (tmp_path / "c.json").write_text('{"damping": 0.5}')
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    result = runner.invoke(
+        main, ["solve", "gl", "--graph", "g.edges", "--config", "c.json", option, value, "--seed", "7"]
+    )
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error: {option} does not apply beside --config")
+    assert result.output.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize(

@@ -182,6 +182,22 @@ def test_max_principle_diag_derives_its_verdict():
     ulp = gc.MaxPrincipleDiag(max_values=(13.0, 8.0), min_values=(3.0, 2.999999999999), tol=1e-12)
     assert not ulp.monotone and ulp.first_violation_step == 1
     assert not gc.check_parabolic_max(ulp).passed
+    # the certificate checks at the diag's tol: a rise of 0.1 is within 0.5,
+    # and a spread of 0.2 is no interior sup
+    wide = gc.MaxPrincipleDiag(max_values=(1.0, 1.1), min_values=(0.0, 0.9), tol=0.5)
+    assert wide.monotone
+    report = gc.check_parabolic_max(wide)
+    assert report.passed and report.tol == 0.5
+    assert list(report.slack) == ["max[1]", "min[1]"]
+    # at tol 0 any rise is a violation
+    exact = gc.MaxPrincipleDiag(max_values=(1.0, 1.0 + 1e-13), min_values=(0.0, 0.0), tol=0.0)
+    assert not exact.monotone and exact.first_violation_step == 1
+    assert not gc.check_parabolic_max(exact).passed
+    # the diag's first violation is the certificate's first envelope entry below -tol
+    for diag in (rise, fall, ulp, exact):
+        report = gc.check_parabolic_max(diag)
+        bad = [key for key, slack in report.slack.items() if key[:3] in ("max", "min") and slack < -diag.tol]
+        assert diag.first_violation_step == int(bad[0][4:-1])
 
 
 def test_check_parabolic_max_tiny_dt_spike_passes():

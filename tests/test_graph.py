@@ -729,6 +729,10 @@ def test_vertex_function_file_domain_errors(tmp_path, p3):
     path.write_text("not json")
     with pytest.raises(gc.FileFormatError):
         gc.read_vertex_function(path, p3)
+    # a repeated key is not last-wins
+    path.write_text('{"a": 1, "a": 5, "b": 0, "c": 0}')
+    with pytest.raises(gc.FileFormatError, match="invalid JSON \\(key 'a' repeated in one object\\)$"):
+        gc.read_vertex_function(path, p3)
     # a bool is not a number, alone or in a pair, and a pair has two parts
     for bad in ("true", "[1, false]", "[1, 2, 3]"):
         path.write_text(f'{{"a": {bad}, "b": 2.0, "c": 3.0}}')

@@ -114,7 +114,11 @@ def _functions_naming(trees: dict[str, ast.Module], name: str) -> list[str]:
 # A rule stated once: the name that carries it, and the one function that may read it
 @pytest.mark.parametrize(
     "name, owner",
-    [("splu", "calculus._splu"), ("ComplexNotAllowedError", "calculus._require_real")],
+    [
+        ("splu", "calculus._splu"),
+        ("ComplexNotAllowedError", "calculus._require_real"),
+        ("load", "serialize.read_json"),
+    ],
 )
 def test_rule_is_stated_in_one_function(name, owner):
     assert _functions_naming(_package_trees(), name) == [owner]
