@@ -12,9 +12,13 @@ the product rule for u^2, and their corollaries) into per-vertex slack
 records: slack >= 0 means the claim holds at that vertex.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -266,20 +270,94 @@ def _grad_sq_values(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
     return _neighbor_sum(g, values, squared=True)
 
 
-def _combinatorial_laplacian(g: WeightedGraph) -> "scipy.sparse.csr_matrix":
-    """L = D - W, the symmetric form with lap = -D^{-1} L."""
-    import scipy.sparse as sp
+# -- sparse LU ------------------------------------------------------------------
+#
+# Every linear solve factorizes one matrix with SuperLU, through the
+# extension module that scipy.sparse.linalg.splu calls; it is loaded by
+# itself, so that no solve imports scipy.sparse. The matrices are assembled
+# here with numpy as the very CSC arrays scipy's own construction gave them,
+# since the factors depend on every bit:
+#
+# - each entry is computed in scipy's operation order; an entry present in
+#   one operand of a sparse sum only is op(a, 0) or op(0, b), e.g.
+#   0.0 - dt w for the off-diagonal entries of (1 + dt) D - dt W;
+# - exact zeros are dropped, as scipy's canonical sums and its dia -> coo
+#   conversion drop them;
+# - entries are ordered by (column, row).
 
-    return (sp.diags(g.degrees) - g.weight_matrix).tocsr()
+
+class _CSC(NamedTuple):
+    """An n x n sparse matrix in compressed sparse column form."""
+
+    n: int
+    data: np.ndarray
+    indices: np.ndarray  # the row of each entry (int32, as SuperLU takes it)
+    indptr: np.ndarray  # where each column starts (int32)
 
 
-def _splu(matrix: "scipy.sparse.spmatrix", error: type[Exception]) -> "scipy.sparse.linalg.SuperLU":
-    """The sparse LU factors of ``matrix``; ``error`` is raised when SuperLU
-    meets an exactly zero pivot."""
-    import scipy.sparse.linalg as spla
+def _csc(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> _CSC:
+    """The n x n matrix with ``values[k]`` at (``rows[k]``, ``cols[k]``), the
+    positions distinct: exact zeros dropped, entries in (column, row) order."""
+    keep = values != 0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    order = np.argsort(cols * n + rows)
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return _CSC(n, values[order], rows[order].astype(np.intc), indptr)
 
+
+def _graph_entries(g: WeightedGraph, diag: np.ndarray, off: np.ndarray):
+    """(rows, cols, values) of the n x n matrix with diagonal ``diag`` and
+    ``off[k]`` at the k-th CSR entry of g: the diagonal first, then the
+    entries row by row, each row's columns ascending."""
+    index = np.arange(g.n_vertices)
+    return (
+        np.concatenate([index, g._ent_rows]),
+        np.concatenate([index, g._ent_cols]),
+        np.concatenate([diag, off]),
+    )
+
+
+def _matvec(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y = A x for the n-row matrix A with ``values[k]`` at (``rows[k]``,
+    ``cols[k]``): each y(i) sums its terms from zero in the order given, as
+    scipy's CSR matvec does for its rows."""
+    out = np.zeros(n, dtype=np.result_type(values, x))
+    np.add.at(out, rows, values * x[cols])
+    return out
+
+
+_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+
+
+def _superlu():
+    """scipy's SuperLU extension module, loaded from its folder on first use,
+    so that no scipy package ``__init__`` runs (find_spec of a top-level
+    package does not import it)."""
+    module = sys.modules.get(_SUPERLU)
+    if module is None:
+        folder = Path(importlib.util.find_spec("scipy").origin).parent / "sparse" / "linalg" / "_dsolve"
+        spec = importlib.machinery.PathFinder.find_spec(_SUPERLU, [str(folder)])
+        if spec is None:
+            raise ImportError(f"no SuperLU extension module {_SUPERLU} in {folder}")
+        module = importlib.util.module_from_spec(spec)
+        # a later import of scipy.sparse.linalg takes this module from here
+        sys.modules[_SUPERLU] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+def _splu(csc: _CSC, error: type[Exception]):
+    """The SuperLU factors of ``csc``, as scipy.sparse.linalg.splu gives them
+    (its default options); ``error`` is raised when SuperLU meets an exactly
+    zero pivot. Only ``solve`` of the result is used: its L and U are not
+    built."""
+    options = {"DiagPivotThresh": None, "ColPerm": None, "PanelSize": None, "Relax": None}
     try:
-        return spla.splu(matrix.tocsc())
+        return _superlu().gstrf(
+            csc.n, len(csc.data), csc.data, csc.indices, csc.indptr,
+            csc_construct_func=None, ilu=False, options=options,
+        )
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise error(f"factorization failed: {exc}") from None
 

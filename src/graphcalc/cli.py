@@ -35,10 +35,10 @@ from .serialize import read_json, write_json
 # process loads calculus, elliptic or evolution only when its command needs it.
 
 # At interpreter shut-down a final collection walks and frees every module
-# object (scipy's are most of them), which an exiting CLI process gains
-# nothing from. Frozen objects are left out of that collection. No output
-# waits on a finalizer: every file is closed by its `with` block, and the
-# interpreter flushes stdout and stderr regardless.
+# object, which an exiting CLI process gains nothing from. Frozen objects
+# are left out of that collection. No output waits on a finalizer: every
+# file is closed by its `with` block, and the interpreter flushes stdout
+# and stderr regardless.
 atexit.register(gc.freeze)
 
 # an input or output file is hashed this many bytes at a time
@@ -323,6 +323,8 @@ def cmd_solve(ctx, problem, graph_path, init_spec, seed, tol, max_iters, config_
             solver_config = SolverConfig.from_json_dict(read_json(config_path))
             if solver_config.seed is not None:
                 seed = solver_config.seed
+            # the file's tol is the one the run uses; --tol is never read
+            del config["tol"]
             config["solver"] = solver_config.to_json_dict()
         else:
             solver_config = SolverConfig(tol=tol, max_iters=max_iters)

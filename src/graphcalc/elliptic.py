@@ -19,9 +19,12 @@ from .calculus import (
     CertificateReport,
     SlackView,
     _abs2,
-    _combinatorial_laplacian,
+    _csc,
+    _CSC,
+    _graph_entries,
     _grad_sq_values,
     _laplacian_values,
+    _matvec,
     _require_real,
     _splu,
 )
@@ -103,6 +106,34 @@ class SolveReport(JsonRecord):
 # -- linear Schrodinger systems on truncations --------------------------------
 
 
+def _schrodinger_system(g: WeightedGraph, qv: np.ndarray, free: np.ndarray, u: np.ndarray, bordered: bool):
+    """The free-vertex block S_ff of S = (D - W) + D Q, in the dtype of ``u``
+    and bordered as [[S_ff, d], [d^T, 0]] if ``bordered``, and S_fb u_b, the
+    boundary values ``u`` carries seen by the free rows.
+
+    S has the diagonal d + d q and the entries 0 - w, as scipy's sparse sum
+    gives them, and each free row sums its boundary terms in column order.
+    """
+    n = g.n_vertices
+    is_free = np.zeros(n, dtype=bool)
+    is_free[free] = True
+    at = np.cumsum(is_free) - 1  # a free vertex's position among the free ones
+    d = g.degrees
+    rows, cols, entries = _graph_entries(g, d + d * qv, 0.0 - g._ent_w)
+    coupling = is_free[rows] & ~is_free[cols]
+    s_fb_u = _matvec(free.size, at[rows[coupling]], cols[coupling], entries[coupling], u)
+    inner = is_free[rows] & is_free[cols]
+    rows, cols, entries = at[rows[inner]], at[cols[inner]], entries[inner]
+    size = free.size
+    if bordered:  # every vertex is free: column n and row n hold d
+        size = n + 1
+        index, border = np.arange(n), np.full(n, n)
+        rows = np.concatenate([rows, index, border])
+        cols = np.concatenate([cols, border, index])
+        entries = np.concatenate([entries, d, d])
+    return _csc(size, rows, cols, entries.astype(u.dtype)), s_fb_u
+
+
 def solve_linear_schrodinger(
     g: WeightedGraph,
     Q: Potential,
@@ -124,8 +155,6 @@ def solve_linear_schrodinger(
     S = D - W + D Q, in complex arithmetic when ``f`` or the Dirichlet data
     is complex.
     """
-    import scipy.sparse as sp
-
     if not (np.isfinite(tol) and tol >= 0):
         raise BadParamsError(f"tol must be nonnegative and finite, got {tol!r}")
     fv = require_same_domain(g, f)
@@ -141,18 +170,12 @@ def solve_linear_schrodinger(
     dtype = np.complex128 if complex_mode else np.float64
 
     free = np.setdiff1d(np.arange(n), bidx, assume_unique=True)
-    L = _combinatorial_laplacian(g)
-    S = (L + sp.diags(g.degrees * qv)).tocsr()
     rhs_full = g.degrees * fv
 
     u = np.zeros(n, dtype=dtype)
     u[bidx] = bvals
 
     if free.size:
-        S_ff = S[np.ix_(free, free)]
-        rhs = rhs_full[free].astype(dtype)
-        if len(bidx):
-            rhs = rhs - S[np.ix_(free, bidx)] @ u[bidx]
         pure_neumann = len(bidx) == 0 and float(np.max(qv)) == 0.0
         if pure_neumann:
             compat = np.sum(g.degrees * fv).item()
@@ -161,10 +184,11 @@ def solve_linear_schrodinger(
                 raise IncompatibleRHSError(
                     f"singular system: sum d_x f(x) = {compat!r} must vanish"
                 )
-            gauge = sp.csr_matrix(g.degrees[None, :])
-            S_ff = sp.bmat([[S_ff, gauge.T], [gauge, None]])
+        matrix, coupling = _schrodinger_system(g, qv, free, u, pure_neumann)
+        rhs = rhs_full[free].astype(dtype) - coupling
+        if pure_neumann:
             rhs = np.append(rhs, 0.0)
-        u[free] = _splu(S_ff.astype(dtype), SingularSystemError).solve(rhs)[: free.size]
+        u[free] = _splu(matrix, SingularSystemError).solve(rhs)[: free.size]
 
     residual = _laplacian_values(g, u) * -1.0 + qv * u - fv
     res = float(np.max(np.abs(residual[free]))) if free.size else 0.0
@@ -181,35 +205,44 @@ def _gl_residual(g: WeightedGraph, v: np.ndarray) -> np.ndarray:
     return _laplacian_values(g, v) + v * (1.0 - _abs2(v))
 
 
-def _gl_newton_step(P: "scipy.sparse.csr_matrix", v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve the linearized system J delta = -r by sparse LU.
+def _gl_jacobian(g: WeightedGraph, v: np.ndarray) -> _CSC:
+    """The Jacobian of lap(v) + v (1 - |v|^2).
 
-    ``P`` is the random-walk matrix D^{-1} W, so lap = P - I and the
-    Jacobian is J = P - diag(3 v^2) for real v. For complex v = a + i b the
-    map is not complex-linear, and J acts on (Re delta, Im delta) as the
-    real 2n x 2n block system
+    With the random-walk matrix P = D^{-1} W (entries mu_xy / d_x, no
+    diagonal), lap = P - I and the Jacobian is J = P - diag(3 v^2) for real
+    v. For complex v = a + i b the map is not complex-linear, and J acts on
+    (Re delta, Im delta) as the real 2n x 2n block system
 
         [[P - diag(3a^2 + b^2), diag(-2ab)], [diag(-2ab), P - diag(a^2 + 3b^2)]].
+
+    Each diagonal entry of a block P - diag(x) is 0 - x, as scipy's sparse
+    difference gives it.
+    """
+    if not np.iscomplexobj(v):
+        return _csc(len(v), *_graph_entries(g, 0.0 - 3.0 * v * v, g._ent_coef))
+    n = len(v)
+    a, b = v.real, v.imag
+    top = _graph_entries(g, 0.0 - (3.0 * a * a + b * b), g._ent_coef)
+    bottom = _graph_entries(g, 0.0 - (a * a + 3.0 * b * b), g._ent_coef)
+    index = np.arange(n)
+    cross = -2.0 * a * b
+    return _csc(
+        2 * n,
+        np.concatenate([top[0], bottom[0] + n, index, index + n]),
+        np.concatenate([top[1], bottom[1] + n, index + n, index]),
+        np.concatenate([top[2], bottom[2], cross, cross]),
+    )
+
+
+def _gl_newton_step(g: WeightedGraph, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve the linearized system J delta = -r by sparse LU, J the
+    Jacobian of :func:`_gl_jacobian`.
 
     Raises LinAlgError when SuperLU meets an exactly zero pivot or the step
     is not finite, which sends the caller to its fixed-point fallback.
     """
-    import scipy.sparse as sp
-
-    if np.iscomplexobj(v):
-        a, b = v.real, v.imag
-        cross = sp.diags(-2.0 * a * b)
-        jac = sp.bmat(
-            [
-                [P - sp.diags(3.0 * a * a + b * b), cross],
-                [cross, P - sp.diags(a * a + 3.0 * b * b)],
-            ]
-        )
-        rhs = -np.concatenate([r.real, r.imag])
-    else:
-        jac = P - sp.diags(3.0 * v * v)
-        rhs = -r
-    delta = _splu(jac, np.linalg.LinAlgError).solve(rhs)
+    rhs = -np.concatenate([r.real, r.imag]) if np.iscomplexobj(v) else -r
+    delta = _splu(_gl_jacobian(g, v), np.linalg.LinAlgError).solve(rhs)
     if not np.all(np.isfinite(delta)):
         raise np.linalg.LinAlgError("non-finite Newton step")
     if np.iscomplexobj(v):
@@ -236,14 +269,9 @@ def solve_ginzburg_landau(
     Every state update counts toward ``max_iters``; the report carries
     ``converged=False`` rather than raising when the budget runs out.
     """
-    import scipy.sparse as sp
-
     cfg = config or SolverConfig()
     v = require_same_domain(g, init).copy()
     max_backtracks = 12
-    n = g.n_vertices
-    # P = D^{-1} W with entries mu_xy / d_x, built once for every Newton step.
-    P = sp.csr_matrix((g._ent_coef, g._ent_cols, g._row_ptr), shape=(n, n))
 
     damping_events = 0
     singular_stalls = 0
@@ -265,7 +293,7 @@ def solve_ginzburg_landau(
 
         took_step = False
         try:
-            delta = _gl_newton_step(P, v, r)
+            delta = _gl_newton_step(g, v, r)
         except np.linalg.LinAlgError:
             delta = None
         if delta is not None:

@@ -29,8 +29,11 @@ import numpy as np
 from .calculus import (
     CertificateReport,
     _abs2,
-    _combinatorial_laplacian,
+    _csc,
+    _CSC,
+    _graph_entries,
     _laplacian_values,
+    _matvec,
     _require_real,
     _splu,
     dirichlet_energy,
@@ -167,7 +170,7 @@ class MaxPrincipleDiag:
         return self.first_violation_step is None
 
 
-def _implicit_stepper(g: WeightedGraph, matrix: "scipy.sparse.spmatrix", b, solve_tol: float):
+def _implicit_stepper(g: WeightedGraph, matrix: _CSC, b, solve_tol: float):
     """The implicit step v <- v + M^{-1} (b D lap(v)) for a fixed step matrix M.
 
     Every flow steps in this deviation form: with lap evaluated through the
@@ -177,13 +180,14 @@ def _implicit_stepper(g: WeightedGraph, matrix: "scipy.sparse.spmatrix", b, solv
     is raised when the factorization meets an exactly zero pivot, and when a
     solve's residual exceeds 100 * solve_tol relative to the right-hand side.
     """
-    csr = matrix.tocsr()
     lu = _splu(matrix, LinearSolveFailureError)
+    n = matrix.n
+    cols = np.repeat(np.arange(n), np.diff(matrix.indptr))
 
     def step(v: np.ndarray) -> np.ndarray:
         rhs = b * g.degrees * _laplacian_values(g, v)
         delta = lu.solve(rhs)
-        residual = float(np.max(np.abs(csr @ delta - rhs)))
+        residual = float(np.max(np.abs(_matvec(n, matrix.indices, cols, matrix.data, delta) - rhs)))
         scale = max(1.0, float(np.max(np.abs(rhs))))
         if not np.isfinite(residual) or residual > solve_tol * scale * 100.0:
             raise LinearSolveFailureError(
@@ -194,14 +198,25 @@ def _implicit_stepper(g: WeightedGraph, matrix: "scipy.sparse.spmatrix", b, solv
     return step
 
 
+def _heat_matrix(g: WeightedGraph, dt: float) -> _CSC:
+    """M = (1 + dt) D - dt W, entry by entry as scipy's sparse sum gives it."""
+    # (1 + dt) d, not d + dt d, which rounds differently for some degrees
+    return _csc(g.n_vertices, *_graph_entries(g, (1.0 + dt) * g.degrees, 0.0 - dt * g._ent_w))
+
+
+def _cayley_matrix(g: WeightedGraph, dt: float) -> _CSC:
+    """M = D + c L with c = i dt / 2 and L = D - W (diagonal d, entries
+    0 - w), entry by entry as scipy's sparse sums give it."""
+    c = 0.5j * dt
+    d = g.degrees
+    return _csc(g.n_vertices, *_graph_entries(g, d + d * c, 0.0 + (0.0 - g._ent_w) * c))
+
+
 def _cayley_start(g: WeightedGraph, u: VertexFunction, dt: float, solve_tol: float):
     """Complex initial values and the Crank-Nicolson step of i u_t + lap(u) = 0:
     M = D + (i dt / 2) L with L = D - W, and b = i dt."""
-    import scipy.sparse as sp
-
     values = require_same_domain(g, u).astype(np.complex128)
-    matrix = sp.diags(g.degrees) + 0.5j * dt * _combinatorial_laplacian(g)
-    return values, _implicit_stepper(g, matrix, 1j * dt, solve_tol)
+    return values, _implicit_stepper(g, _cayley_matrix(g, dt), 1j * dt, solve_tol)
 
 
 def _require_scheme(cfg: EvolutionConfig, scheme: EvolutionScheme, caller: str) -> None:
@@ -231,13 +246,9 @@ def evolve_heat(
     non-increasing, min non-decreasing to ENVELOPE_TOL).
     """
     _require_scheme(cfg, EvolutionScheme.HEAT_IMPLICIT, "evolve_heat")
-    import scipy.sparse as sp
-
     _require_real(u0, "evolve_heat")
     values = require_same_domain(g, u0)
-    # (1 + dt) d, not d + dt d, which rounds differently for some degrees
-    matrix = (1.0 + cfg.dt) * sp.diags(g.degrees) - cfg.dt * g.weight_matrix
-    implicit = _implicit_stepper(g, matrix, cfg.dt, cfg.solve_tol)
+    implicit = _implicit_stepper(g, _heat_matrix(g, cfg.dt), cfg.dt, cfg.solve_tol)
     maxes = [float(np.max(values))]
     mins = [float(np.min(values))]
 

@@ -174,22 +174,27 @@ class WeightedGraph:
     )
 
     def __init__(self, edge_records: Iterable[tuple[str, str, float]]):
-        self._build(*_records_to_arrays(edge_records))
+        names, *records = _records_to_arrays(edge_records)
+        self._build(names, records)
 
     @classmethod
-    def _from_arrays(cls, names, xi, yi, w) -> "WeightedGraph":
-        """Build the graph of the records ``(names[xi[k]], names[yi[k]], w[k])``.
+    def _from_arrays(cls, names, records: list) -> "WeightedGraph":
+        """Build the graph of the records ``(names[xi[k]], names[yi[k]], w[k])``
+        with ``records = [xi, yi, w]``.
 
         This is the one construction path: every generator, the edge-list
         reader and the record constructor end here. ``names`` are distinct
-        valid vertex ids, and each occurs in some record.
+        valid vertex ids, and each occurs in some record. The build takes the
+        arrays out of ``records``, so that, with no other reference to them,
+        each is freed once the build no longer needs it.
         """
         g = cls.__new__(cls)
-        g._build(names, xi, yi, w)
+        g._build(names, records)
         return g
 
-    def _build(self, names, xi, yi, w) -> None:
-        xi, yi, w = _check_records(names, xi, yi, w)
+    def _build(self, names, records: list) -> None:
+        xi, yi, w = _check_records(names, *records)
+        records.clear()
         if not len(w):
             raise BadParamsError("a graph needs at least one edge")
 
@@ -228,7 +233,7 @@ class WeightedGraph:
         cols = key[order]
         del key
         data = w.take(order, mode="wrap")
-        del order
+        del order, w
         rows = np.repeat(np.arange(n), counts)
 
         # Degrees accumulate per row via reduceat in ascending neighbor
@@ -549,40 +554,35 @@ def generate(
         right = np.broadcast_to(np.arange(cols) < cols - 1, (rows, cols))
         down = np.broadcast_to((np.arange(rows) < rows - 1)[:, None], (rows, cols))
         keep = np.stack([right, down], axis=2).ravel()
-        xi = np.repeat(v.ravel(), 2)[keep]
-        yi = np.stack([v + 1, v + cols], axis=2).ravel()[keep]
-        return WeightedGraph._from_arrays(
-            names, xi, yi, _edge_weights(len(xi), weight, weight_sampler, rng)
-        )
+        records = [np.repeat(v.ravel(), 2)[keep], np.stack([v + 1, v + cols], axis=2).ravel()[keep]]
+        del v, keep  # not kept alive through the build
+        return _with_weights(names, records, weight, weight_sampler, rng)
 
     if n is None or n < 2:
         raise BadParamsError(f"family {family!r} requires n >= 2, got {n!r}")
     names = _vertex_names(n)
 
     if family == "path":
-        xi, yi = np.arange(n - 1), np.arange(1, n)
+        records = [np.arange(n - 1), np.arange(1, n)]
     elif family == "cycle":
         if n < 3:
             raise BadParamsError("cycle requires n >= 3")
-        xi = np.arange(n)
-        yi = (xi + 1) % n
+        records = [np.arange(n), np.arange(1, n + 1) % n]
     elif family == "complete":
-        xi, yi = np.triu_indices(n, 1)
+        records = list(np.triu_indices(n, 1))
     elif family == "star":
-        xi, yi = np.zeros(n - 1, dtype=np.int64), np.arange(1, n)
+        records = [np.zeros(n - 1, dtype=np.int64), np.arange(1, n)]
     elif family == "gnp":
         if p is None or not (0.0 < p <= 1.0):
             raise BadParamsError(f"gnp requires 0 < p <= 1, got {p!r}")
         for _ in range(GNP_RETRY_BUDGET):
-            kept_i, kept_j = _gnp_pairs(n, p, rng)
+            records = list(_gnp_pairs(n, p, rng))
             # a draw with an isolated vertex is redrawn before any weight
             # is sampled for it
-            if len(np.union1d(kept_i, kept_j)) < n:
+            if len(np.union1d(*records)) < n:
                 continue
             try:
-                return WeightedGraph._from_arrays(
-                    names, kept_i, kept_j, _edge_weights(len(kept_i), weight, weight_sampler, rng)
-                )
+                return _with_weights(names, records, weight, weight_sampler, rng)
             except DisconnectedError:
                 continue
         raise DisconnectedDrawError(
@@ -591,9 +591,14 @@ def generate(
     else:
         raise BadParamsError(f"unknown graph family {family!r}")
 
-    return WeightedGraph._from_arrays(
-        names, xi, yi, _edge_weights(len(xi), weight, weight_sampler, rng)
-    )
+    return _with_weights(names, records, weight, weight_sampler, rng)
+
+
+def _with_weights(names, records: list, weight, weight_sampler, rng) -> WeightedGraph:
+    """The graph of the index arrays ``records = [xi, yi]`` with each
+    record's weight drawn or set; the build takes the arrays out of the list."""
+    records.append(_edge_weights(len(records[0]), weight, weight_sampler, rng))
+    return WeightedGraph._from_arrays(names, records)
 
 
 def d_constant(g: WeightedGraph) -> float:
@@ -650,7 +655,8 @@ def write_edge_list(g: WeightedGraph, path) -> None:
 
 def read_edge_list(path) -> WeightedGraph:
     """Parse an edge-list file. Lines starting with '#' are comments."""
-    return WeightedGraph._from_arrays(*_parse_edge_list(path))
+    names, *records = _parse_edge_list(path)
+    return WeightedGraph._from_arrays(names, records)
 
 
 def _parse_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:

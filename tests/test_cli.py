@@ -326,6 +326,22 @@ def test_solve_gl_with_config_file(runner, tmp_path):
     assert manifest["config"]["solver"]["seed"] == 9
 
 
+def test_solve_gl_config_manifest_records_only_the_tol_used(runner, tmp_path):
+    # the file sets no tol, so the run uses SolverConfig's 1e-12; the unread
+    # --tol default (1e-10) must not appear beside it
+    _, gpath = _write_graph(tmp_path, "path", n=3)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"damping": 0.5}')
+    out = tmp_path / "sol.json"
+    result = _invoke(
+        runner, ["solve", "gl", "--graph", str(gpath), "--config", str(cfg_path), "--seed", "7", "-o", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    config = json.loads((tmp_path / "sol.json.manifest.json").read_text())["config"]
+    assert config == {"problem": "gl", "solver": gc.SolverConfig(damping=0.5).to_json_dict()}
+    assert config["solver"]["tol"] == 1e-12
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -772,7 +788,8 @@ def test_solver_commands_still_run_in_scipy_probe(tmp_path, small_grid):
     ):
         result = _run_cli_subprocess(args, tmp_path)
         assert result["exit"] == 0
-        assert "scipy.sparse.linalg" in result["scipy"]
+        # SuperLU's extension module alone: no scipy package is imported
+        assert result["scipy"] == ["scipy.sparse.linalg._dsolve._superlu"]
         _assert_loads_only_its_modules(args, result)
 
 

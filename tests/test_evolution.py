@@ -5,7 +5,7 @@ import pytest
 
 import graphcalc as gc
 from conftest import family_corpus
-from graphcalc.evolution import _implicit_stepper
+from graphcalc.evolution import _heat_matrix, _implicit_stepper
 from oracles import cn_final_ref, heat_final_ref
 
 
@@ -335,12 +335,9 @@ def test_degenerate_step_matrix_raises_solve_failure(k3, dt):
     # an infinite dt makes the step matrix exactly singular for the LU; a
     # huge finite one overflows into a non-finite solve. EvolutionConfig
     # rejects an infinite dt, so that case drives the steppers directly.
-    import scipy.sparse as sp
-
     u0 = gc.VertexFunction(k3.vertices, np.array([1.0, 0.0, 0.0]))
-    heat_matrix = (1.0 + dt) * sp.diags(k3.degrees) - dt * k3.weight_matrix
     with pytest.raises(gc.LinearSolveFailureError):
-        _implicit_stepper(k3, heat_matrix, dt, 1e-12)(u0.values.copy())
+        _implicit_stepper(k3, _heat_matrix(k3, dt), dt, 1e-12)(u0.values.copy())
     with pytest.raises(gc.LinearSolveFailureError):
         gc.schrodinger_step(k3, u0, dt)
     if np.isfinite(dt):

@@ -115,7 +115,7 @@ def _functions_naming(trees: dict[str, ast.Module], name: str) -> list[str]:
 @pytest.mark.parametrize(
     "name, owner",
     [
-        ("splu", "calculus._splu"),
+        ("gstrf", "calculus._splu"),
         ("ComplexNotAllowedError", "calculus._require_real"),
         ("load", "serialize.read_json"),
     ],
