@@ -318,15 +318,6 @@ def _graph_entries(g: WeightedGraph, diag: np.ndarray, off: np.ndarray):
     )
 
 
-def _matvec(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y = A x for the n-row matrix A with ``values[k]`` at (``rows[k]``,
-    ``cols[k]``): each y(i) sums its terms from zero in the order given, as
-    scipy's CSR matvec does for its rows."""
-    out = np.zeros(n, dtype=np.result_type(values, x))
-    np.add.at(out, rows, values * x[cols])
-    return out
-
-
 _SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 
 

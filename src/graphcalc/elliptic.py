@@ -24,7 +24,6 @@ from .calculus import (
     _graph_entries,
     _grad_sq_values,
     _laplacian_values,
-    _matvec,
     _require_real,
     _splu,
 )
@@ -121,7 +120,8 @@ def _schrodinger_system(g: WeightedGraph, qv: np.ndarray, free: np.ndarray, u: n
     d = g.degrees
     rows, cols, entries = _graph_entries(g, d + d * qv, 0.0 - g._ent_w)
     coupling = is_free[rows] & ~is_free[cols]
-    s_fb_u = _matvec(free.size, at[rows[coupling]], cols[coupling], entries[coupling], u)
+    s_fb_u = np.zeros(free.size, dtype=np.result_type(entries, u))
+    np.add.at(s_fb_u, at[rows[coupling]], entries[coupling] * u[cols[coupling]])
     inner = is_free[rows] & is_free[cols]
     rows, cols, entries = at[rows[inner]], at[cols[inner]], entries[inner]
     size = free.size
@@ -579,6 +579,9 @@ def keller_osserman_chain(
 
 
 LIOUVILLE_NORM_THRESHOLD = 1e-6
+# The largest dense n x n float64 operator liouville_search builds, in bytes:
+# 1 GiB, which admits n up to 11,585.
+LIOUVILLE_MAX_OPERATOR_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -682,12 +685,20 @@ def liouville_search(
     neighbor mean); every row is then checked against the exact premises
     (zero tolerance) by the kernel of :func:`check_liouville_premises`. A
     counterexample is any exactly feasible function with sup norm above
-    ``LIOUVILLE_NORM_THRESHOLD``; the Liouville theorem predicts none.
+    ``LIOUVILLE_NORM_THRESHOLD``; the Liouville theorem predicts none. A
+    graph whose dense operator would exceed ``LIOUVILLE_MAX_OPERATOR_BYTES``
+    raises BadParamsError before anything is allocated.
     """
     _require_liouville_params(p, bound)
     if restarts < 1 or steps < 1:
         raise BadParamsError("need restarts >= 1 and steps >= 1")
     n = g.n_vertices
+    nbytes = 8 * n * n
+    if nbytes > LIOUVILLE_MAX_OPERATOR_BYTES:
+        raise BadParamsError(
+            f"liouville_search on n = {n} vertices needs a dense n x n operator of {nbytes} "
+            f"bytes, above LIOUVILLE_MAX_OPERATOR_BYTES = {LIOUVILLE_MAX_OPERATOR_BYTES}"
+        )
     rng = np.random.default_rng(seed)
     # The transposed random-walk matrix, pt[y, x] = mu_xy / d_x, so that
     # u @ pt gives every row's weighted neighbor means. A dense matmul is
@@ -787,6 +798,15 @@ class SpectralPair(JsonRecord):
             raise ValueError(f"eigenvalue {self.eigenvalue!r} outside [0, 2]")
 
 
+def _normalized_entries(g: WeightedGraph, shift: float):
+    """(rows, cols, values) of N - shift I, N = I - D^{-1/2} W D^{-1/2}, as
+    scipy's sparse arithmetic gives them: the diagonal 1 - shift, the entries
+    0 - (inv_x w) inv_y with inv = 1 / sqrt(d)."""
+    inv = 1.0 / np.sqrt(g.degrees)
+    off = 0.0 - (inv[g._ent_rows] * g._ent_w) * inv[g._ent_cols]
+    return _graph_entries(g, np.full(g.n_vertices, 1.0 - shift), off)
+
+
 def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[SpectralPair]:
     """The k smallest eigenpairs of -lap.
 
@@ -799,22 +819,26 @@ def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[Spect
     shift-invert ``eigsh`` from a fixed start vector, so that repeated calls
     return the same eigenvectors.
     """
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     n = g.n_vertices
     if not (1 <= k <= n):
         raise BadParamsError(f"need 1 <= k <= {n}, got k={k!r}")
     dsqrt = np.sqrt(g.degrees)
-    inv = sp.diags(1.0 / dsqrt)
-    norm_op = (sp.identity(n) - inv @ g.weight_matrix @ inv).tocsc()
     if k >= n - 1:
         # ARPACK needs k < n - 1; eigh reads only the lower triangle.
-        evals, evecs = np.linalg.eigh(norm_op.toarray())
+        rows, cols, entries = _normalized_entries(g, 0.0)
+        dense = np.zeros((n, n))
+        dense[rows, cols] = entries
+        evals, evecs = np.linalg.eigh(dense)
     else:
+        sigma = -0.1
+        lu = _splu(_csc(n, *_normalized_entries(g, sigma)), ConvergenceFailureError)
+        # given OPinv, eigsh reads only the shape and dtype of its matrix
+        op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         try:
-            evals, evecs = spla.eigsh(norm_op, k=k, sigma=-0.1, which="LM", v0=v0)
+            evals, evecs = spla.eigsh(op, k=k, sigma=sigma, which="LM", v0=v0, OPinv=op)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from None
         order = np.argsort(evals)
@@ -823,14 +847,9 @@ def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[Spect
     pairs = []
     for j in range(k):
         lam = float(evals[j])
-        if lam < 0.0:
-            if lam < -tol:
-                raise ConvergenceFailureError(f"eigenvalue {lam!r} below 0 beyond tolerance")
-            lam = 0.0
-        if lam > 2.0:
-            if lam > 2.0 + tol:
-                raise ConvergenceFailureError(f"eigenvalue {lam!r} above 2 beyond tolerance")
-            lam = 2.0
+        if lam < -tol or lam > 2.0 + tol:
+            raise ConvergenceFailureError(f"eigenvalue {lam!r} outside [0, 2] beyond tolerance")
+        lam = min(max(lam, 0.0), 2.0)
         phi = evecs[:, j] / dsqrt
         peak = int(np.argmax(np.abs(phi)))
         if phi[peak] < 0:

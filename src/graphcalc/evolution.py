@@ -17,8 +17,9 @@ stepper solves M delta = b D lap(u) for the increment: heat passes
 M = (1 + dt) D - dt W with b = dt, the Crank-Nicolson step M = D + (i dt/2) L
 with b = i dt (W the weight matrix, L = D - W). M is factorized once per run
 with sparse LU (SuperLU), each step is a pair of triangular solves, and
-every solve's residual is checked. One method serves every graph size, so
-the residual check means the same thing at every n.
+every solve's residual, D (delta - c lap(delta)) - rhs as M = D (I - c lap)
+(c = dt for heat, i dt/2 for Crank-Nicolson), is checked. One method serves
+every graph size, so the residual check means the same thing at every n.
 """
 
 from dataclasses import dataclass, fields
@@ -33,7 +34,6 @@ from .calculus import (
     _CSC,
     _graph_entries,
     _laplacian_values,
-    _matvec,
     _require_real,
     _splu,
     dirichlet_energy,
@@ -170,24 +170,22 @@ class MaxPrincipleDiag:
         return self.first_violation_step is None
 
 
-def _implicit_stepper(g: WeightedGraph, matrix: _CSC, b, solve_tol: float):
-    """The implicit step v <- v + M^{-1} (b D lap(v)) for a fixed step matrix M.
+def _implicit_stepper(g: WeightedGraph, matrix: _CSC, b, c, solve_tol: float):
+    """The implicit step v <- v + M^{-1} (b D lap(v)) for M = D (I - c lap).
 
     Every flow steps in this deviation form: with lap evaluated through the
     neighbor-difference formula, a function in the kernel of lap is a bitwise
     fixed point (the right-hand side vanishes identically instead of up to
     round-off). M is factorized once with sparse LU. LinearSolveFailureError
-    is raised when the factorization meets an exactly zero pivot, and when a
-    solve's residual exceeds 100 * solve_tol relative to the right-hand side.
+    is raised at an exactly zero pivot, and when a solve's residual
+    D (delta - c lap(delta)) - rhs exceeds 100 * solve_tol relative to rhs.
     """
     lu = _splu(matrix, LinearSolveFailureError)
-    n = matrix.n
-    cols = np.repeat(np.arange(n), np.diff(matrix.indptr))
 
     def step(v: np.ndarray) -> np.ndarray:
         rhs = b * g.degrees * _laplacian_values(g, v)
         delta = lu.solve(rhs)
-        residual = float(np.max(np.abs(_matvec(n, matrix.indices, cols, matrix.data, delta) - rhs)))
+        residual = float(np.max(np.abs(g.degrees * (delta - c * _laplacian_values(g, delta)) - rhs)))
         scale = max(1.0, float(np.max(np.abs(rhs))))
         if not np.isfinite(residual) or residual > solve_tol * scale * 100.0:
             raise LinearSolveFailureError(
@@ -214,9 +212,9 @@ def _cayley_matrix(g: WeightedGraph, dt: float) -> _CSC:
 
 def _cayley_start(g: WeightedGraph, u: VertexFunction, dt: float, solve_tol: float):
     """Complex initial values and the Crank-Nicolson step of i u_t + lap(u) = 0:
-    M = D + (i dt / 2) L with L = D - W, and b = i dt."""
+    M = D + (i dt / 2) L with L = D - W, b = i dt and c = i dt / 2."""
     values = require_same_domain(g, u).astype(np.complex128)
-    return values, _implicit_stepper(g, _cayley_matrix(g, dt), 1j * dt, solve_tol)
+    return values, _implicit_stepper(g, _cayley_matrix(g, dt), 1j * dt, 0.5j * dt, solve_tol)
 
 
 def _require_scheme(cfg: EvolutionConfig, scheme: EvolutionScheme, caller: str) -> None:
@@ -241,14 +239,14 @@ def evolve_heat(
 ) -> tuple[VertexFunction, EvolutionTrace, MaxPrincipleDiag]:
     """Implicit-Euler heat flow u_t = lap(u) with max-principle diagnostics.
 
-    The step matrix is (1 + dt) D - dt W with b = dt. Returns the final
+    The step matrix is (1 + dt) D - dt W with b = c = dt. Returns the final
     state, the strided trace, and the per-step signed envelope record (max
     non-increasing, min non-decreasing to ENVELOPE_TOL).
     """
     _require_scheme(cfg, EvolutionScheme.HEAT_IMPLICIT, "evolve_heat")
     _require_real(u0, "evolve_heat")
     values = require_same_domain(g, u0)
-    implicit = _implicit_stepper(g, _heat_matrix(g, cfg.dt), cfg.dt, cfg.solve_tol)
+    implicit = _implicit_stepper(g, _heat_matrix(g, cfg.dt), cfg.dt, cfg.dt, cfg.solve_tol)
     maxes = [float(np.max(values))]
     mins = [float(np.min(values))]
 

@@ -152,7 +152,8 @@ class WeightedGraph:
     only store of the edges; every other form is derived from them. Two
     derived forms are cached on first use: ``_weight_matrix`` and
     ``_slot_plan``, the neighbour-sum layout of ``calculus``. Neither takes
-    part in equality, hashing or ``repr``.
+    part in equality, hashing or ``repr``. No solver reads ``weight_matrix``;
+    it is kept for the tests' scipy references and the benchmark's tracing.
 
     Construction holds no Python object per edge: records are collected in
     typed arrays, and the CSR arrays are sorted and gathered from one key

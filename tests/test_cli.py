@@ -171,6 +171,16 @@ def test_check_liouville(runner, tmp_path):
     assert report["search"]["counterexample"] is None
 
 
+def test_check_liouville_operator_above_the_limit_exit_2(runner, tmp_path, monkeypatch):
+    _, gpath = _write_graph(tmp_path, "gnp", n=20, p=0.3, seed=42)
+    monkeypatch.setattr(gc.elliptic, "LIOUVILLE_MAX_OPERATOR_BYTES", 3199)
+    result = runner.invoke(main, ["check", "liouville", "--graph", str(gpath), "--trials", "3"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith("error: ") and "n = 20" in line and "3200 bytes" in line
+
+
 def test_check_missing_graph_exit_2(runner):
     result = runner.invoke(main, ["check", "kato1", "--graph", "missing.edges"])
     assert result.exit_code == 2

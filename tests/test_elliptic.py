@@ -534,6 +534,16 @@ def test_liouville_search_validation(k5):
             gc.liouville_search(k5, 2.0, bad, restarts=1, steps=1)
 
 
+def test_liouville_search_refuses_an_operator_above_the_limit(monkeypatch):
+    # the guard is arithmetic on n: the limit is lowered, nothing large is allocated
+    g = gc.generate("gnp", n=20, p=0.3, seed=42)
+    monkeypatch.setattr(elliptic, "LIOUVILLE_MAX_OPERATOR_BYTES", 8 * 20 * 20 - 1)
+    with pytest.raises(gc.BadParamsError, match=r"n = 20 vertices .* of 3200 bytes"):
+        gc.liouville_search(g, 2.0, 1.0, restarts=1, steps=1)
+    monkeypatch.setattr(elliptic, "LIOUVILLE_MAX_OPERATOR_BYTES", 8 * 20 * 20)
+    assert gc.liouville_search(g, 2.0, 1.0, restarts=1, steps=1).restarts == 1
+
+
 def _row_verdicts(g, rows, p, bound):
     return [
         gc.check_liouville_premises(g, gc.VertexFunction(g.vertices, row), p, bound, tol=0.0).passed

@@ -5,7 +5,7 @@ import pytest
 
 import graphcalc as gc
 from conftest import family_corpus
-from graphcalc.evolution import _heat_matrix, _implicit_stepper
+from graphcalc.evolution import _cayley_matrix, _heat_matrix, _implicit_stepper
 from oracles import cn_final_ref, heat_final_ref
 
 
@@ -337,7 +337,7 @@ def test_degenerate_step_matrix_raises_solve_failure(k3, dt):
     # rejects an infinite dt, so that case drives the steppers directly.
     u0 = gc.VertexFunction(k3.vertices, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(gc.LinearSolveFailureError):
-        _implicit_stepper(k3, _heat_matrix(k3, dt), dt, 1e-12)(u0.values.copy())
+        _implicit_stepper(k3, _heat_matrix(k3, dt), dt, dt, 1e-12)(u0.values.copy())
     with pytest.raises(gc.LinearSolveFailureError):
         gc.schrodinger_step(k3, u0, dt)
     if np.isfinite(dt):
@@ -345,6 +345,20 @@ def test_degenerate_step_matrix_raises_solve_failure(k3, dt):
             gc.evolve_heat(k3, u0, _cfg("heat_implicit", dt=dt, steps=1))
         with pytest.raises(gc.LinearSolveFailureError):
             gc.schrodinger_evolve(k3, u0, _cfg("schrodinger_cn", dt=dt, steps=1))
+
+
+@pytest.mark.parametrize("dt", [0.05, 1.0, 25.0])
+def test_step_residual_checks_the_step_matrix(dt):
+    # M = D (I - c lap) with c = dt for heat and i dt/2 for Crank-Nicolson: the
+    # residual of each solve is computed from c, so a c that does not match M
+    # fails the first step, while the matching c passes
+    g = gc.generate("grid2d", rows=6, cols=6, seed=1, weight_sampler=lambda r, m: r.uniform(0.5, 2.0, m))
+    v = gc.random_vertex_function(g, np.random.default_rng(3)).values
+    for matrix, b, c in ((_heat_matrix(g, dt), dt, dt), (_cayley_matrix(g, dt), 1j * dt, 0.5j * dt)):
+        v = v.astype(np.result_type(v, b))
+        with pytest.raises(gc.LinearSolveFailureError, match="residual"):
+            _implicit_stepper(g, matrix, b, 2 * c, 1e-12)(v)
+        assert np.all(np.isfinite(_implicit_stepper(g, matrix, b, c, 1e-12)(v)))
 
 
 def test_gp_phase_step_preserves_modulus(k3):

@@ -4,9 +4,16 @@ Every linear solve factorizes a matrix that ``calculus._csc`` assembles with
 numpy and hands to SuperLU's extension module directly. Each kind must equal,
 bit for bit, the CSC arrays that scipy.sparse gives for the same algebra
 (followed by ``.tocsc()``), and its factors must solve exactly as
-``scipy.sparse.linalg.splu`` of that matrix does. This is also the guard if
-scipy ever changes the private entry point the solvers call.
+``scipy.sparse.linalg.splu`` of that matrix does. The spectrum's normalized
+operator is held to the same standard, and its eigenpairs to those of
+scipy's own shift-invert ``eigsh``. This is also the guard if scipy ever
+changes the private entry point the solvers call.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import graphcalc as gc
-from graphcalc.calculus import _splu
-from graphcalc.elliptic import _gl_jacobian, _schrodinger_system
+from graphcalc.calculus import _csc, _splu
+from graphcalc.elliptic import _gl_jacobian, _normalized_entries, _schrodinger_system
 from graphcalc.evolution import _cayley_matrix, _heat_matrix
 
 def _weights(rng, m):
@@ -152,3 +159,97 @@ def test_gl_jacobian_with_zero_diagonal_matches_scipy(p3, dtype):
     jac = _gl_jacobian(p3, v)
     assert len(jac.data) < len(_gl_jacobian_ref(p3, v + 1.0).tocsc().data)
     _assert_same_matrix(jac, _gl_jacobian_ref(p3, v))
+
+
+# -- the spectrum -------------------------------------------------------------------
+
+SPECTRAL_GRAPHS = {
+    **GRAPHS,
+    "gnp200": lambda: gc.generate("gnp", n=200, p=0.05, seed=4, weight_sampler=_weights),
+}
+
+
+SIGMA = -0.1  # the shift of spectrum_smallest's eigsh
+
+
+@pytest.fixture(params=sorted(SPECTRAL_GRAPHS), scope="module")
+def sg(request):
+    return SPECTRAL_GRAPHS[request.param]()
+
+
+def _normalized_ref(g):
+    """I - D^{-1/2} W D^{-1/2} as scipy's sparse arithmetic builds it."""
+    inv = sp.diags(1.0 / np.sqrt(g.degrees))
+    return (sp.identity(g.n_vertices) - inv @ g.weight_matrix @ inv).tocsc()
+
+
+def test_normalized_operator_matches_scipy(sg):
+    n = sg.n_vertices
+    ref = _normalized_ref(sg)
+    _assert_same_matrix(_csc(n, *_normalized_entries(sg, 0.0)), ref)
+    # the shifted matrix eigsh factorizes in shift-invert mode
+    _assert_same_matrix(_csc(n, *_normalized_entries(sg, SIGMA)), ref - SIGMA * sp.eye(n))
+
+
+def _assert_same_pairs(g, pairs, evals, evecs):
+    """``pairs`` are the eigenpairs (evals, evecs) of the normalized
+    operator, in their order, taken back to -lap as spectrum_smallest does,
+    bit for bit."""
+    dsqrt = np.sqrt(g.degrees)
+    assert len(pairs) == len(evals)
+    for pair, lam, vec in zip(pairs, evals, evecs.T):
+        assert pair.eigenvalue.hex() == min(max(float(lam), 0.0), 2.0).hex()
+        phi = vec / dsqrt
+        _same_bits(pair.eigenvector.values, -phi if phi[np.argmax(np.abs(phi))] < 0 else phi)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_shift_invert_eigenpairs_match_scipy(sg, k):
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, sg.n_vertices)
+    evals, evecs = spla.eigsh(_normalized_ref(sg), k=k, sigma=SIGMA, which="LM", v0=v0)
+    order = np.argsort(evals)
+    _assert_same_pairs(sg, gc.spectrum_smallest(sg, k), evals[order], evecs[:, order])
+
+
+@pytest.mark.parametrize("below", [1, 0])
+def test_dense_eigenpairs_match_scipy(sg, below):
+    k = sg.n_vertices - below
+    evals, evecs = np.linalg.eigh(_normalized_ref(sg).toarray())
+    _assert_same_pairs(sg, gc.spectrum_smallest(sg, k), evals[:k], evecs[:, :k])
+
+
+_SPECTRUM_AFTER_SOLVE = """
+import hashlib, sys
+import numpy as np
+import graphcalc as gc
+g = gc.generate("grid2d", rows=12, cols=12)
+if sys.argv[1] == "after-solve":
+    # the solve loads SuperLU's extension module by itself, no scipy package
+    f = gc.VertexFunction(g.vertices, np.ones(g.n_vertices))
+    gc.solve_linear_schrodinger(g, gc.Potential.zero(g), f, {g.vertices[0]: 0.0})
+    assert "scipy.sparse.linalg._dsolve._superlu" in sys.modules
+    assert "scipy.sparse.linalg" not in sys.modules
+digest = hashlib.sha256()
+for pair in gc.spectrum_smallest(g, 4):
+    digest.update(np.float64(pair.eigenvalue).tobytes())
+    digest.update(np.float64(pair.residual).tobytes())
+    digest.update(pair.eigenvector.values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_spectrum_after_a_solve_matches_a_fresh_process(tmp_path):
+    # scipy.sparse.linalg is imported after the solve registered the SuperLU
+    # module, which then is no attribute of its package; eigsh must not care
+    env = dict(os.environ)
+    src = str(Path(gc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    digests = []
+    for mode in ("fresh", "after-solve"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPECTRUM_AFTER_SOLVE, mode],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split()[-1])
+    assert digests[0] == digests[1]

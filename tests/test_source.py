@@ -91,24 +91,46 @@ def test_unread_private_name_is_found():
     assert _unread_private_names({"a": a, "b": b}) == ["a._B", "a._f", "a._g"]
 
 
-def _functions_naming(trees: dict[str, ast.Module], name: str) -> list[str]:
-    """``module.function`` or ``module.Class.method`` of each top-level
-    function or method whose body reads ``name``, bare or as an attribute."""
-    found = []
+def _functions(trees: dict[str, ast.Module]):
+    """(``module.function`` or ``module.Class.method``, definition) of each
+    top-level function and method."""
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs = [(node.name, node)]
+                yield f"{module}.{node.name}", node
             elif isinstance(node, ast.ClassDef):
-                defs = [
-                    (f"{node.name}.{fn.name}", fn)
-                    for fn in node.body
-                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                ]
-            else:
-                continue
-            found += [f"{module}.{qual}" for qual, fn in defs if any(name in _reads(s) for s in fn.body)]
-    return found
+                for fn in node.body:
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{module}.{node.name}.{fn.name}", fn
+
+
+def _functions_naming(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """Each top-level function or method whose body reads ``name``, bare or
+    as an attribute."""
+    return [qual for qual, fn in _functions(trees) if any(name in _reads(s) for s in fn.body)]
+
+
+def _imports(node: ast.AST, package: str) -> bool:
+    """Whether ``node`` holds an import of ``package`` or of a submodule."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Import) and any(a.name.split(".")[0] == package for a in n.names):
+            return True
+        if isinstance(n, ast.ImportFrom) and n.level == 0 and n.module.split(".")[0] == package:
+            return True
+    return False
+
+
+def _importers(trees: dict[str, ast.Module], package: str) -> list[str]:
+    """Each top-level function or method that imports ``package``, and each
+    module that imports it outside any function."""
+    outside = [
+        module
+        for module, tree in trees.items()
+        for node in tree.body
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and _imports(node, package)
+    ]
+    return outside + [qual for qual, fn in _functions(trees) if _imports(fn, package)]
 
 
 # A rule stated once: the name that carries it, and the one function that may read it
@@ -132,3 +154,22 @@ def test_second_function_naming_a_rule_is_found():
         "class C:\n    def m(self):\n        def h():\n            return splu\n        return h\n"
     )
     assert _functions_naming({"a": tree}, "splu") == ["a.f", "a.C.m"]
+
+
+def test_scipy_is_imported_by_two_functions():
+    # SuperLU is loaded by file in calculus._superlu, with no import statement
+    assert _importers(_package_trees(), "scipy") == [
+        "elliptic.spectrum_smallest",
+        "graph.WeightedGraph.weight_matrix",
+    ]
+
+
+def test_third_scipy_importer_is_found():
+    tree = ast.parse(
+        "import scipyx\nfrom . import scipy\nimport numpy, scipy.linalg\n"
+        "def f():\n    import scipy.sparse.linalg as spla\n"
+        "def g():\n    from scipy import sparse\n"
+        "def h():\n    import scipyx\n"
+        "class C:\n    def m(self):\n        def inner():\n            from scipy.sparse import eye\n"
+    )
+    assert _importers({"a": tree}, "scipy") == ["a", "a.f", "a.g", "a.C.m"]
