@@ -66,7 +66,10 @@ _READ_ONLY_BY = {
         "p": ("gnp",),
         "seed": ("gnp",),
     },
-    "check": dict.fromkeys(("p_exponent", "bound", "steps"), ("liouville",)),
+    "check": {
+        **dict.fromkeys(("p_exponent", "bound", "steps"), ("liouville",)),
+        "tol": tuple(_TRIALS),
+    },
     "solve": {
         **dict.fromkeys(("init_spec", "seed", "max_iters", "config_path"), ("gl",)),
         **dict.fromkeys(("q_spec", "f_spec", "dirichlet_spec"), ("schrodinger-stationary",)),

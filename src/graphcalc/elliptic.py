@@ -824,6 +824,8 @@ def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[Spect
     n = g.n_vertices
     if not (1 <= k <= n):
         raise BadParamsError(f"need 1 <= k <= {n}, got k={k!r}")
+    if not (np.isfinite(tol) and tol > 0):  # a NaN tol would pass any eigenpair
+        raise BadParamsError(f"tol must be positive and finite, got {tol!r}")
     dsqrt = np.sqrt(g.degrees)
     if k >= n - 1:
         # ARPACK needs k < n - 1; eigh reads only the lower triangle.

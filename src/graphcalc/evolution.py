@@ -13,13 +13,13 @@ is still conserved exactly while the free energy drifts at second order in
 the step size.
 
 All three flows run through one implicit stepper and one time loop. The
-stepper solves M delta = b D lap(u) for the increment: heat passes
-M = (1 + dt) D - dt W with b = dt, the Crank-Nicolson step M = D + (i dt/2) L
-with b = i dt (W the weight matrix, L = D - W). M is factorized once per run
-with sparse LU (SuperLU), each step is a pair of triangular solves, and
-every solve's residual, D (delta - c lap(delta)) - rhs as M = D (I - c lap)
-(c = dt for heat, i dt/2 for Crank-Nicolson), is checked. One method serves
-every graph size, so the residual check means the same thing at every n.
+stepper builds M = D + c L = D (I - c lap) from c (L = D - W, W the weight
+matrix) and solves M delta = b D lap(u): b = c = dt for heat, b = i dt and
+c = i dt/2 for Crank-Nicolson. M is factorized once per run with sparse LU
+(SuperLU), each step is a pair of triangular solves, and every solve's
+residual D (delta - c lap(delta)) - rhs is checked, the same way at every n.
+Each entry point rejects a solve_tol that is not positive and finite and a
+dt that is not finite (nonzero for one step, positive for a run).
 """
 
 from dataclasses import dataclass, fields
@@ -59,6 +59,12 @@ class EvolutionScheme(str, Enum):
     GP_STRANG = "gp_strang"
 
 
+def _require_solve_tol(solve_tol: float) -> None:
+    """A NaN tolerance would pass any residual, a negative one none."""
+    if not (np.isfinite(solve_tol) and solve_tol > 0):
+        raise BadParamsError(f"solve_tol must be positive and finite, got {solve_tol!r}")
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     dt: float
@@ -73,8 +79,7 @@ class EvolutionConfig:
             raise BadParamsError(f"dt must be positive and finite, got {self.dt!r}")
         if self.steps < 1:
             raise BadParamsError(f"steps must be >= 1, got {self.steps!r}")
-        if not (np.isfinite(self.solve_tol) and self.solve_tol > 0):
-            raise BadParamsError(f"solve_tol must be positive and finite, got {self.solve_tol!r}")
+        _require_solve_tol(self.solve_tol)
         if self.stride < 1:
             raise BadParamsError(f"stride must be >= 1, got {self.stride!r}")
 
@@ -170,8 +175,14 @@ class MaxPrincipleDiag:
         return self.first_violation_step is None
 
 
-def _implicit_stepper(g: WeightedGraph, matrix: _CSC, b, c, solve_tol: float):
-    """The implicit step v <- v + M^{-1} (b D lap(v)) for M = D (I - c lap).
+def _step_matrix(g: WeightedGraph, c) -> _CSC:
+    """M = D + c L = (1 + c) D - c W, entry by entry as scipy's sparse sum gives it."""
+    # (1 + c) d, not d + c d, which rounds differently for some degrees
+    return _csc(g.n_vertices, *_graph_entries(g, (1.0 + c) * g.degrees, 0.0 - c * g._ent_w))
+
+
+def _implicit_stepper(g: WeightedGraph, b, c, solve_tol: float):
+    """The implicit step v <- v + M^{-1} (b D lap(v)) for M = D + c L = D (I - c lap).
 
     Every flow steps in this deviation form: with lap evaluated through the
     neighbor-difference formula, a function in the kernel of lap is a bitwise
@@ -180,7 +191,7 @@ def _implicit_stepper(g: WeightedGraph, matrix: _CSC, b, c, solve_tol: float):
     is raised at an exactly zero pivot, and when a solve's residual
     D (delta - c lap(delta)) - rhs exceeds 100 * solve_tol relative to rhs.
     """
-    lu = _splu(matrix, LinearSolveFailureError)
+    lu = _splu(_step_matrix(g, c), LinearSolveFailureError)
 
     def step(v: np.ndarray) -> np.ndarray:
         rhs = b * g.degrees * _laplacian_values(g, v)
@@ -196,25 +207,11 @@ def _implicit_stepper(g: WeightedGraph, matrix: _CSC, b, c, solve_tol: float):
     return step
 
 
-def _heat_matrix(g: WeightedGraph, dt: float) -> _CSC:
-    """M = (1 + dt) D - dt W, entry by entry as scipy's sparse sum gives it."""
-    # (1 + dt) d, not d + dt d, which rounds differently for some degrees
-    return _csc(g.n_vertices, *_graph_entries(g, (1.0 + dt) * g.degrees, 0.0 - dt * g._ent_w))
-
-
-def _cayley_matrix(g: WeightedGraph, dt: float) -> _CSC:
-    """M = D + c L with c = i dt / 2 and L = D - W (diagonal d, entries
-    0 - w), entry by entry as scipy's sparse sums give it."""
-    c = 0.5j * dt
-    d = g.degrees
-    return _csc(g.n_vertices, *_graph_entries(g, d + d * c, 0.0 + (0.0 - g._ent_w) * c))
-
-
 def _cayley_start(g: WeightedGraph, u: VertexFunction, dt: float, solve_tol: float):
     """Complex initial values and the Crank-Nicolson step of i u_t + lap(u) = 0:
-    M = D + (i dt / 2) L with L = D - W, b = i dt and c = i dt / 2."""
+    b = i dt and c = i dt / 2."""
     values = require_same_domain(g, u).astype(np.complex128)
-    return values, _implicit_stepper(g, _cayley_matrix(g, dt), 1j * dt, 0.5j * dt, solve_tol)
+    return values, _implicit_stepper(g, 1j * dt, 0.5j * dt, solve_tol)
 
 
 def _require_scheme(cfg: EvolutionConfig, scheme: EvolutionScheme, caller: str) -> None:
@@ -239,14 +236,14 @@ def evolve_heat(
 ) -> tuple[VertexFunction, EvolutionTrace, MaxPrincipleDiag]:
     """Implicit-Euler heat flow u_t = lap(u) with max-principle diagnostics.
 
-    The step matrix is (1 + dt) D - dt W with b = c = dt. Returns the final
+    The step has b = c = dt, so M = (1 + dt) D - dt W. Returns the final
     state, the strided trace, and the per-step signed envelope record (max
     non-increasing, min non-decreasing to ENVELOPE_TOL).
     """
     _require_scheme(cfg, EvolutionScheme.HEAT_IMPLICIT, "evolve_heat")
     _require_real(u0, "evolve_heat")
     values = require_same_domain(g, u0)
-    implicit = _implicit_stepper(g, _heat_matrix(g, cfg.dt), cfg.dt, cfg.dt, cfg.solve_tol)
+    implicit = _implicit_stepper(g, cfg.dt, cfg.dt, cfg.solve_tol)
     maxes = [float(np.max(values))]
     mins = [float(np.min(values))]
 
@@ -264,8 +261,9 @@ def schrodinger_step(
     g: WeightedGraph, u: VertexFunction, dt: float, solve_tol: float = 1e-12
 ) -> VertexFunction:
     """A single Cayley step; ``dt`` may be negative, which inverts the step."""
-    if dt == 0.0:
-        raise BadParamsError("dt must be nonzero")
+    if not (np.isfinite(dt) and dt != 0.0):
+        raise BadParamsError(f"dt must be nonzero and finite, got {dt!r}")
+    _require_solve_tol(solve_tol)
     values, step = _cayley_start(g, u, dt, solve_tol)
     return VertexFunction(g.vertices, step(values))
 

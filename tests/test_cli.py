@@ -186,6 +186,13 @@ def test_check_missing_graph_exit_2(runner):
     assert result.exit_code == 2
 
 
+def test_check_zero_trials_exit_2(runner, tmp_path):
+    _, gpath = _write_graph(tmp_path, "path", n=3)
+    result = runner.invoke(main, ["check", "kato1", "--graph", str(gpath), "--trials", "0"])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: trials must be >= 1, got 0\n"
+
+
 def test_check_deterministic_output_bytes(runner, tmp_path):
     _, gpath = _write_graph(tmp_path, "cycle", n=6)
     outs = []
@@ -310,8 +317,8 @@ def test_solve_schrodinger_stationary_hand_case(runner, tmp_path):
 
 def test_solve_bad_dirichlet_exit_2(runner, tmp_path):
     _, gpath = _write_graph(tmp_path, "path", n=3)
-    # a value that is no number, and a vertex given twice
-    for spec in ("a=zz", "v0=1,v0=2,v2=0"):
+    # a value that is no number, a vertex given twice, and an entry with no =
+    for spec in ("a=zz", "v0=1,v0=2,v2=0", "v0"):
         result = runner.invoke(
             main,
             ["solve", "schrodinger-stationary", "--graph", str(gpath), "--dirichlet", spec],
@@ -445,8 +452,8 @@ def test_non_finite_parameter_exit_2(runner, tmp_path, monkeypatch, args):
 _HUGE = "1" * 400  # an integer beyond the double range
 
 
-# Runs whose input holds a number that is no finite double, the files they
-# read, and the message
+# Runs whose input holds a number that is no finite double, or a file of
+# the wrong shape, the files they read, and the message
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "args, files, message",
@@ -459,8 +466,10 @@ _HUGE = "1" * 400  # an integer beyond the double range
          "invalid solver configuration SolverConfig(tol=inf, "),
         (["solve", "schrodinger-stationary", "--dirichlet", "v0=1e400,v2=1"], {},
          "non-finite value at vertex 'v0'"),
+        (["solve", "schrodinger-stationary", "--f", "f.json"], {"f.json": "[1, 2]"},
+         "f.json: expected a JSON object mapping vertex -> value"),
     ],
-    ids=["solve-f", "evolve-u0", "solve-gl-config", "solve-dirichlet"],
+    ids=["solve-f", "evolve-u0", "solve-gl-config", "solve-dirichlet", "solve-f-list"],
 )
 def test_non_finite_input_exit_2(runner, tmp_path, monkeypatch, args, files, message):
     _write_graph(tmp_path, "path", n=3)
@@ -480,6 +489,7 @@ def test_non_finite_input_exit_2(runner, tmp_path, monkeypatch, args, files, mes
     "args, option, choice",
     [
         (["check", "kato1", "--p", "nan", "--bound", "-1", "--steps", "-5"], "--p", "kind kato1"),
+        (["check", "liouville", "--tol", "7"], "--tol", "kind liouville"),
         (["solve", "gl", "--Q", "/nonexistent.json", "--dirichlet", "zz"], "--Q", "problem gl"),
         (
             ["solve", "schrodinger-stationary", "--config", "/nonexistent.json", "--init", "bogus",
@@ -491,7 +501,7 @@ def test_non_finite_input_exit_2(runner, tmp_path, monkeypatch, args, files, mes
          "--rows", "family path"),
         (["gen", "--family", "grid2d", "--rows", "3", "--cols", "3", "--n", "99"], "--n", "family grid2d"),
     ],
-    ids=["check-kato1", "solve-gl", "solve-schrodinger-stationary", "gen-path", "gen-grid2d"],
+    ids=["check-kato1", "check-liouville", "solve-gl", "solve-schrodinger-stationary", "gen-path", "gen-grid2d"],
 )
 def test_unread_option_exit_2(runner, tmp_path, monkeypatch, args, option, choice):
     _write_graph(tmp_path, "path", n=3)
@@ -620,6 +630,22 @@ def test_evolve_heat_constant_trace_rows_identical(runner, tmp_path):
     rows = trace.read_text().splitlines()[1:]
     cols = [r.split(",")[2:] for r in rows]  # drop step and t columns
     assert all(c == cols[0] for c in cols)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the heat certificate fails on a plateau that falls "
+    "by less than one ulp per step",
+)
+def test_evolve_heat_plateau_passes(runner, tmp_path):
+    g, gpath = _write_graph(tmp_path, "path", n=100)
+    u0_path = _write_u0(tmp_path, g, np.where(np.arange(100) < 60, 1.0, 0.0))  # 1 on v00-v59
+    result = runner.invoke(
+        main,
+        ["evolve", "heat", "--graph", str(gpath), "--u0", str(u0_path), "--dt", "0.1",
+         "--steps", "5", "--trace", str(tmp_path / "t.csv"), "-o", str(tmp_path / "f.json")],
+    )
+    assert result.exit_code == 0, result.output
 
 
 def test_evolve_heat_complex_input_exit_2(runner, tmp_path):

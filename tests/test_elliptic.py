@@ -829,6 +829,14 @@ def test_spectrum_k_validation(k3):
         gc.spectrum_smallest(k3, 4)
 
 
+def test_spectrum_tol_validation():
+    # a NaN tol would pass eigenpairs no check has passed
+    g = gc.generate("grid2d", rows=6, cols=6)
+    for tol in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(gc.BadParamsError, match="tol must be positive and finite"):
+            gc.spectrum_smallest(g, 3, tol=tol)
+
+
 def test_spectral_pair_rejects_out_of_range(k3):
     phi = gc.VertexFunction.constant(k3, 0.5)
     with pytest.raises(ValueError):

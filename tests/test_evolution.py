@@ -5,7 +5,8 @@ import pytest
 
 import graphcalc as gc
 from conftest import family_corpus
-from graphcalc.evolution import _cayley_matrix, _heat_matrix, _implicit_stepper
+from graphcalc import evolution
+from graphcalc.evolution import _implicit_stepper, _step_matrix
 from oracles import cn_final_ref, heat_final_ref
 
 
@@ -31,6 +32,15 @@ def test_config_validation():
         gc.EvolutionConfig(dt=0.1, steps=5, scheme="other")
     cfg = gc.EvolutionConfig(dt=0.1, steps=5, scheme="schrodinger_cn")
     assert cfg.scheme is gc.EvolutionScheme.SCHRODINGER_CN
+    # a single step checks the same rules, but dt may be negative
+    c6 = gc.generate("cycle", n=6)
+    u = gc.VertexFunction.constant(c6, 1.0)
+    for dt in (0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(gc.BadParamsError, match="dt must be nonzero and finite"):
+            gc.schrodinger_step(c6, u, dt)
+    for solve_tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(gc.BadParamsError, match="solve_tol must be positive and finite"):
+            gc.schrodinger_step(c6, u, 0.1, solve_tol=solve_tol)
 
 
 def test_scheme_mismatch_rejected(k3):
@@ -333,32 +343,39 @@ def test_large_grid_flows_keep_tolerances_across_n_2048():
 @pytest.mark.parametrize("dt", [1e308, float("inf")])
 def test_degenerate_step_matrix_raises_solve_failure(k3, dt):
     # an infinite dt makes the step matrix exactly singular for the LU; a
-    # huge finite one overflows into a non-finite solve. EvolutionConfig
-    # rejects an infinite dt, so that case drives the steppers directly.
+    # huge finite one overflows into a non-finite solve. Every entry point
+    # rejects an infinite dt, so that case drives the stepper directly.
     u0 = gc.VertexFunction(k3.vertices, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(gc.LinearSolveFailureError):
-        _implicit_stepper(k3, _heat_matrix(k3, dt), dt, dt, 1e-12)(u0.values.copy())
+        _implicit_stepper(k3, dt, dt, 1e-12)(u0.values.copy())
     with pytest.raises(gc.LinearSolveFailureError):
-        gc.schrodinger_step(k3, u0, dt)
+        _implicit_stepper(k3, 1j * dt, 0.5j * dt, 1e-12)(u0.values.astype(np.complex128))
     if np.isfinite(dt):
+        with pytest.raises(gc.LinearSolveFailureError):
+            gc.schrodinger_step(k3, u0, dt)
         with pytest.raises(gc.LinearSolveFailureError):
             gc.evolve_heat(k3, u0, _cfg("heat_implicit", dt=dt, steps=1))
         with pytest.raises(gc.LinearSolveFailureError):
             gc.schrodinger_evolve(k3, u0, _cfg("schrodinger_cn", dt=dt, steps=1))
+    else:
+        with pytest.raises(gc.BadParamsError):
+            gc.schrodinger_step(k3, u0, dt)
 
 
 @pytest.mark.parametrize("dt", [0.05, 1.0, 25.0])
-def test_step_residual_checks_the_step_matrix(dt):
+def test_step_residual_checks_the_step_matrix(dt, monkeypatch):
     # M = D (I - c lap) with c = dt for heat and i dt/2 for Crank-Nicolson: the
-    # residual of each solve is computed from c, so a c that does not match M
-    # fails the first step, while the matching c passes
+    # residual of each solve is computed from c, so a step matrix built for
+    # another c fails the first step, while the matching one passes
     g = gc.generate("grid2d", rows=6, cols=6, seed=1, weight_sampler=lambda r, m: r.uniform(0.5, 2.0, m))
     v = gc.random_vertex_function(g, np.random.default_rng(3)).values
-    for matrix, b, c in ((_heat_matrix(g, dt), dt, dt), (_cayley_matrix(g, dt), 1j * dt, 0.5j * dt)):
+    for b, c in ((dt, dt), (1j * dt, 0.5j * dt)):
         v = v.astype(np.result_type(v, b))
-        with pytest.raises(gc.LinearSolveFailureError, match="residual"):
-            _implicit_stepper(g, matrix, b, 2 * c, 1e-12)(v)
-        assert np.all(np.isfinite(_implicit_stepper(g, matrix, b, c, 1e-12)(v)))
+        assert np.all(np.isfinite(_implicit_stepper(g, b, c, 1e-12)(v)))
+        with monkeypatch.context() as patch:
+            patch.setattr(evolution, "_step_matrix", lambda graph, c_: _step_matrix(graph, 2 * c_))
+            with pytest.raises(gc.LinearSolveFailureError, match="residual"):
+                _implicit_stepper(g, b, c, 1e-12)(v)
 
 
 def test_gp_phase_step_preserves_modulus(k3):

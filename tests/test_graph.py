@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,8 @@ def test_malformed_records_name_the_record():
         gc.build_graph([("a", "a", 1.0), ("a", "b")])
     with pytest.raises(gc.DuplicateEdgeError, match=r"^record 1:"):
         gc.build_graph([("a", "b", 1.0), ("b", "a", 1.0), ("b", "c", "x")])
+    with pytest.raises(gc.BadParamsError, match="at least one edge"):
+        gc.build_graph([])
 
 
 def test_weights_that_float_accepts_are_accepted():
@@ -505,6 +508,14 @@ def test_weight_sampler_applied():
     weights = {w for _, _, w in g.edges}
     assert len(weights) > 1
     assert all(0.5 <= w <= 2.0 for w in weights)
+    with pytest.raises(gc.BadParamsError, match="one weight per edge"):
+        gc.generate("path", n=5, seed=3, weight_sampler=lambda rng, m: rng.uniform(0.5, 2.0, m + 1))
+
+
+def test_fmt_float_non_finite_reads_back():
+    for x, text in ((np.nan, "NaN"), (np.inf, "Infinity"), (-np.inf, "-Infinity")):
+        assert fmt_float(x) == text
+        assert np.array_equal(json.loads(fmt_float(x)), x, equal_nan=True)
 
 
 # -- d_constant ---------------------------------------------------------------------

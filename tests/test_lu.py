@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 import graphcalc as gc
 from graphcalc.calculus import _csc, _splu
 from graphcalc.elliptic import _gl_jacobian, _normalized_entries, _schrodinger_system
-from graphcalc.evolution import _cayley_matrix, _heat_matrix
+from graphcalc.evolution import _step_matrix
 
 def _weights(rng, m):
     return rng.uniform(0.2, 3.0, m)
@@ -77,13 +77,13 @@ def _laplacian_ref(g):
 @pytest.mark.parametrize("dt", [1e-3, 0.1, 0.37, 1.0, 25.0])
 def test_heat_matrix_matches_scipy(g, dt):
     ref = (1.0 + dt) * sp.diags(g.degrees) - dt * g.weight_matrix
-    _assert_same_matrix(_heat_matrix(g, dt), ref)
+    _assert_same_matrix(_step_matrix(g, dt), ref)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 0.05, 1.0, -0.3])
 def test_cayley_matrix_matches_scipy(g, dt):
     ref = sp.diags(g.degrees) + 0.5j * dt * _laplacian_ref(g)
-    _assert_same_matrix(_cayley_matrix(g, dt), ref)
+    _assert_same_matrix(_step_matrix(g, 0.5j * dt), ref)
 
 
 def _potential(g, rng):

@@ -140,6 +140,7 @@ def _importers(trees: dict[str, ast.Module], package: str) -> list[str]:
         ("gstrf", "calculus._splu"),
         ("ComplexNotAllowedError", "calculus._require_real"),
         ("load", "serialize.read_json"),
+        ("_step_matrix", "evolution._implicit_stepper"),
     ],
 )
 def test_rule_is_stated_in_one_function(name, owner):
