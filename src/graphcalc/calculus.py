@@ -14,7 +14,6 @@ records: slack >= 0 means the claim holds at that vertex.
 
 import importlib.machinery
 import importlib.util
-import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParamsError, ComplexNotAllowedError
+from .errors import ComplexNotAllowedError, _require_finite
 from .graph import VertexFunction, WeightedGraph, require_same_domain
 from .serialize import JsonRecord
 
@@ -99,9 +98,10 @@ class CertificateReport(JsonRecord):
 
     Both verdict fields derive from the slack: ``min_slack`` is the first
     minimal slack, and ``passed`` is true exactly when ``min_slack >= -tol``,
-    so a non-finite ``tol`` raises :class:`BadParamsError`. A NaN slack makes
-    ``min_slack`` NaN, so the report fails, and ``worst_vertex()`` names the
-    first NaN key. ``info`` carries optional extras that are never asserted.
+    so ``tol`` must be nonnegative and finite, else :class:`BadParamsError`
+    is raised. A NaN slack makes ``min_slack`` NaN, so the report fails, and
+    ``worst_vertex()`` names the first NaN key. ``info`` carries optional
+    extras that are never asserted.
     """
 
     check: str
@@ -110,8 +110,7 @@ class CertificateReport(JsonRecord):
     info: dict | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.tol):  # min_slack >= -inf always holds, >= -nan never
-            raise BadParamsError(f"tol must be finite, got {self.tol!r}")
+        _require_finite("tol", self.tol)
         if not isinstance(self.slack, SlackView):
             view = SlackView(tuple(self.slack), list(self.slack.values()))
             object.__setattr__(self, "slack", view)

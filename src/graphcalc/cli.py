@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import BadParamsError, GraphCalcError
+from .errors import BadParamsError, GraphCalcError, _require_finite
 from .graph import (
     VertexFunction,
     d_constant,
@@ -202,8 +202,7 @@ def cmd_check(ctx, kind, graph_path, trials, seed, tol, p_exponent, bound, steps
     started = time.perf_counter()
     if trials < 1:
         raise BadParamsError(f"trials must be >= 1, got {trials}")
-    if not np.isfinite(tol):
-        raise BadParamsError(f"tol must be finite, got {tol!r}")
+    _require_finite("tol", tol)
     _reject_unread_options(ctx, "kind")
     g = read_edge_list(graph_path)
     out = out or f"check_{kind}.json"
@@ -325,6 +324,8 @@ def cmd_solve(ctx, problem, graph_path, init_spec, seed, tol, max_iters, config_
         if config_path is not None:
             solver_config = SolverConfig.from_json_dict(read_json(config_path))
             if solver_config.seed is not None:
+                if _on_command_line(ctx, "seed"):  # the file's seed would replace it
+                    raise BadParamsError("--seed does not apply beside a --config that sets seed")
                 seed = solver_config.seed
             # the file's tol is the one the run uses; --tol is never read
             del config["tol"]

@@ -36,6 +36,7 @@ from .errors import (
     NotASolutionError,
     SingularJacobianError,
     SingularSystemError,
+    _require_finite,
 )
 from .graph import VertexFunction, WeightedGraph, d_constant, require_same_domain
 from .serialize import JsonRecord
@@ -67,8 +68,8 @@ class SolverConfig(JsonRecord):
     seed: int | None = None
 
     def __post_init__(self):
-        tol_ok = np.isfinite(self.tol) and self.tol > 0
-        if not tol_ok or self.max_iters < 0 or not (0 < self.damping <= 1):
+        _require_finite("tol", self.tol, positive=True)
+        if self.max_iters < 0 or not (0 < self.damping <= 1):
             raise BadParamsError(f"invalid solver configuration {self!r}")
 
     @classmethod
@@ -155,8 +156,7 @@ def solve_linear_schrodinger(
     S = D - W + D Q, in complex arithmetic when ``f`` or the Dirichlet data
     is complex.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise BadParamsError(f"tol must be nonnegative and finite, got {tol!r}")
+    _require_finite("tol", tol)
     fv = require_same_domain(g, f)
     qv = require_same_domain(g, Q.values)
     n = g.n_vertices
@@ -350,10 +350,9 @@ def verify_gl_bound(g: WeightedGraph, u: VertexFunction, tol: float = 1e-9) -> C
     lap(u) + u (1 - |u|^2) must already be below ``tol``; otherwise
     :class:`NotASolutionError` is raised. Slack is 1 - |u(x)| + tol and the
     report passes iff the minimum slack is nonnegative. ``tol`` must be
-    finite and nonnegative.
+    nonnegative and finite.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise BadParamsError(f"tol must be nonnegative and finite, got {tol!r}")
+    _require_finite("tol", tol)
     values = require_same_domain(g, u)
     res = float(np.max(np.abs(_gl_residual(g, values))))
     if res > tol:
@@ -429,8 +428,8 @@ def verify_gradient_estimate(
 
 
 def _require_liouville_params(p: float, bound: float) -> None:
-    if not (np.isfinite(p) and p > 0 and np.isfinite(bound) and bound > 0):
-        raise BadParamsError(f"need finite p > 0 and bound > 0, got p={p!r}, bound={bound!r}")
+    _require_finite("p", p, positive=True)
+    _require_finite("bound", bound, positive=True)
 
 
 def _premise_slacks(g: WeightedGraph, values: np.ndarray, p: float, bound: float):
@@ -511,12 +510,12 @@ def keller_osserman_chain(
 
     ``bound`` is the a-priori upper bound on u (defaults to max(u), in which
     case the escape outcome is unreachable and the chain ends in a revisit or
-    a premise violation); ``p``, ``tol`` and ``bound`` must be finite. Each
-    step without a verdict adds a new vertex, so one comes within |X| steps.
+    a premise violation); ``p`` and ``bound`` must be positive and finite,
+    ``tol`` nonnegative and finite. Each step without a verdict adds a new
+    vertex, so one comes within |X| steps.
     """
     _require_real(u, "keller_osserman_chain")
-    if not np.isfinite(tol):
-        raise BadParamsError(f"tol must be finite, got {tol!r}")
+    _require_finite("tol", tol)
     values = require_same_domain(g, u)
     if np.any(values < 0.0):
         raise NegativeInputError("u must be nonnegative")
@@ -766,8 +765,7 @@ def check_strong_max_principle(
     principle and indicates a bug.
     """
     _require_real(u, "check_strong_max_principle")
-    if not np.isfinite(tol):
-        raise BadParamsError(f"tol must be finite, got {tol!r}")
+    _require_finite("tol", tol)
     values = require_same_domain(g, u)
     lap = _laplacian_values(g, values)
     imin = int(np.argmin(lap))
@@ -824,8 +822,7 @@ def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[Spect
     n = g.n_vertices
     if not (1 <= k <= n):
         raise BadParamsError(f"need 1 <= k <= {n}, got k={k!r}")
-    if not (np.isfinite(tol) and tol > 0):  # a NaN tol would pass any eigenpair
-        raise BadParamsError(f"tol must be positive and finite, got {tol!r}")
+    _require_finite("tol", tol, positive=True)
     dsqrt = np.sqrt(g.degrees)
     if k >= n - 1:
         # ARPACK needs k < n - 1; eigh reads only the lower triangle.

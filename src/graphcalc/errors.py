@@ -2,7 +2,13 @@
 
 Every error raised by the library derives from :class:`GraphCalcError`, so
 callers (and the CLI) can distinguish bad input from genuine bugs.
+
+:func:`_require_finite` owns the rule for every tolerance, step size and
+bound a caller passes in: nonnegative (or positive) and finite, else
+:class:`BadParamsError`.
 """
+
+import math
 
 
 class GraphCalcError(Exception):
@@ -31,6 +37,15 @@ class DisconnectedDrawError(GraphCalcError):
 
 class BadParamsError(GraphCalcError):
     """Generator or solver parameters are out of range or inconsistent."""
+
+
+def _require_finite(name: str, value: float, positive: bool = False) -> None:
+    """Raise :class:`BadParamsError` unless ``value`` is nonnegative (positive
+    if ``positive``) and finite: a NaN or infinite tolerance makes a check
+    meaningless, a negative one fails a correct run."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        sign = "positive" if positive else "nonnegative"
+        raise BadParamsError(f"{name} must be {sign} and finite, got {value!r}")
 
 
 class DomainMismatchError(GraphCalcError):

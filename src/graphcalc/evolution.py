@@ -44,6 +44,7 @@ from .errors import (
     BadParamsError,
     FileFormatError,
     LinearSolveFailureError,
+    _require_finite,
 )
 from .graph import VertexFunction, WeightedGraph, require_same_domain
 from .serialize import fmt_float
@@ -59,12 +60,6 @@ class EvolutionScheme(str, Enum):
     GP_STRANG = "gp_strang"
 
 
-def _require_solve_tol(solve_tol: float) -> None:
-    """A NaN tolerance would pass any residual, a negative one none."""
-    if not (np.isfinite(solve_tol) and solve_tol > 0):
-        raise BadParamsError(f"solve_tol must be positive and finite, got {solve_tol!r}")
-
-
 @dataclass(frozen=True)
 class EvolutionConfig:
     dt: float
@@ -75,11 +70,10 @@ class EvolutionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", EvolutionScheme(self.scheme))
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise BadParamsError(f"dt must be positive and finite, got {self.dt!r}")
+        _require_finite("dt", self.dt, positive=True)
         if self.steps < 1:
             raise BadParamsError(f"steps must be >= 1, got {self.steps!r}")
-        _require_solve_tol(self.solve_tol)
+        _require_finite("solve_tol", self.solve_tol, positive=True)
         if self.stride < 1:
             raise BadParamsError(f"stride must be >= 1, got {self.stride!r}")
 
@@ -263,7 +257,7 @@ def schrodinger_step(
     """A single Cayley step; ``dt`` may be negative, which inverts the step."""
     if not (np.isfinite(dt) and dt != 0.0):
         raise BadParamsError(f"dt must be nonzero and finite, got {dt!r}")
-    _require_solve_tol(solve_tol)
+    _require_finite("solve_tol", solve_tol, positive=True)
     values, step = _cayley_start(g, u, dt, solve_tol)
     return VertexFunction(g.vertices, step(values))
 

@@ -25,6 +25,7 @@ from .errors import (
     NonFiniteValueError,
     NonPositiveWeightError,
     SelfLoopError,
+    _require_finite,
 )
 from .serialize import fmt_float, read_json, write_json
 
@@ -495,8 +496,7 @@ def _edge_weights(m: int, weight, weight_sampler, rng) -> np.ndarray:
             raise BadParamsError("weight sampler must return one weight per edge")
         return w
     weight = float(weight)
-    if not np.isfinite(weight) or weight <= 0:
-        raise BadParamsError(f"uniform edge weight must be positive, got {weight!r}")
+    _require_finite("uniform edge weight", weight, positive=True)
     return np.full(m, weight)
 
 
@@ -667,9 +667,6 @@ def _parse_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarra
     ids: dict[str, int] = {}
     xi, yi, w = array("q"), array("q"), array("d")
     add_x, add_y, add_w, index = xi.append, yi.append, w.append, ids.setdefault
-    # as in write_edge_list: a weight is parsed only where its text differs
-    # from the previous record's
-    last, mu_value = None, None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -681,15 +678,10 @@ def _parse_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarra
                     f"{path}:{line_no}: expected `<x> <y> <mu>`, got {line.strip()!r}"
                 )
             x, y, mu = tokens
-            if mu != last:
-                try:
-                    mu_value = float(mu)
-                except ValueError:
-                    raise FileFormatError(
-                        f"{path}:{line_no}: weight {mu!r} is not a number"
-                    ) from None
-                last = mu
-            add_w(mu_value)
+            try:
+                add_w(float(mu))
+            except ValueError:
+                raise FileFormatError(f"{path}:{line_no}: weight {mu!r} is not a number") from None
             add_x(index(x, len(ids)))
             add_y(index(y, len(ids)))
     if not w:

@@ -447,8 +447,9 @@ def test_report_verdict_is_derived_from_slack():
     assert failing.worst_vertex() == "a"
     within_tol = gc.CertificateReport(check="hand", tol=0.5, slack={"a": -0.5})
     assert within_tol.passed
-    for bad in (float("inf"), float("nan")):
-        with pytest.raises(gc.BadParamsError):
+    assert gc.CertificateReport(check="hand", tol=0.0, slack={"a": 0.0}).passed
+    for bad in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(gc.BadParamsError, match="tol must be nonnegative and finite"):
             gc.CertificateReport(check="hand", tol=bad, slack={"a": 1.0})
 
 

@@ -421,6 +421,24 @@ def test_solve_gl_config_rejects_solver_options(runner, tmp_path, monkeypatch, o
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_solve_gl_config_seed_rejects_seed_option(runner, tmp_path, monkeypatch):
+    # the file's seed replaces --seed, so the run would not read it
+    _write_graph(tmp_path, "path", n=3)
+    (tmp_path / "c.json").write_text('{"seed": 7}')
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    result = runner.invoke(main, ["solve", "gl", "--graph", "g.edges", "--config", "c.json", "--seed", "5"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "error: --seed does not apply beside a --config that sets seed\n"
+    assert sorted(tmp_path.iterdir()) == before
+    # a null seed in the file leaves --seed to the run
+    (tmp_path / "c.json").write_text('{"seed": null}')
+    result = runner.invoke(main, ["solve", "gl", "--graph", "g.edges", "--config", "c.json", "--seed", "5"])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "solution.json.manifest.json").read_text())["seed"] == 5
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -449,6 +467,20 @@ def test_non_finite_parameter_exit_2(runner, tmp_path, monkeypatch, args):
     assert args[-1] in result.output
 
 
+@pytest.mark.parametrize("kind", ["kato1", "kato2", "product", "gradient-estimate", "max-principle"])
+def test_check_negative_tol_exit_2(runner, tmp_path, monkeypatch, kind):
+    # a negative tol failed correct kato1|kato2|product|gradient-estimate
+    # runs, and let max-principle call a constant function not subharmonic
+    _write_graph(tmp_path, "grid2d", rows=6, cols=6)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    result = runner.invoke(main, ["check", kind, "--graph", "g.edges", "--trials", "4", "--tol", "-1"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "error: tol must be nonnegative and finite, got -1.0\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 _HUGE = "1" * 400  # an integer beyond the double range
 
 
@@ -463,7 +495,7 @@ _HUGE = "1" * 400  # an integer beyond the double range
         (["evolve", "schrodinger", "--u0", "u.json", "--dt", "0.1", "--steps", "2"],
          {"u.json": f'{{"v0": [1, {_HUGE}], "v1": 0, "v2": 0}}'}, "non-finite value at vertex 'v0'"),
         (["solve", "gl", "--config", "c.json"], {"c.json": f'{{"tol": {_HUGE}}}'},
-         "invalid solver configuration SolverConfig(tol=inf, "),
+         "tol must be positive and finite, got inf"),
         (["solve", "schrodinger-stationary", "--dirichlet", "v0=1e400,v2=1"], {},
          "non-finite value at vertex 'v0'"),
         (["solve", "schrodinger-stationary", "--f", "f.json"], {"f.json": "[1, 2]"},

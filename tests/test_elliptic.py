@@ -423,7 +423,7 @@ def test_chain_rejects_non_finite_tol_and_bound():
     u = gc.VertexFunction(g.vertices, np.array([0.1, 0.2, 0.4, 0.8, 1.0]))
     cert = gc.keller_osserman_chain(g, u, 1.0, "v0")
     assert cert.outcome is gc.ChainOutcome.PREMISE_VIOLATION
-    for bad in (float("inf"), float("nan")):
+    for bad in (float("inf"), float("nan"), -1.0):
         with pytest.raises(gc.BadParamsError):
             gc.keller_osserman_chain(g, u, 1.0, "v0", tol=bad)
         with pytest.raises(gc.BadParamsError):
@@ -682,7 +682,7 @@ def test_non_finite_tol_rejected():
     assert not gc.check_subsolution(g, spike, gc.Potential.zero(g)).passed
     assert gc.check_strong_max_principle(g, spike).outcome is gc.MaxPrincipleOutcome.NOT_SUBHARMONIC
     assert all(r.passed for r in gc.check_kato2(g, spike))
-    for bad in (float("inf"), float("nan")):
+    for bad in (float("inf"), float("nan"), -1.0):
         with pytest.raises(gc.BadParamsError):
             gc.check_subsolution(g, spike, gc.Potential.zero(g), tol=bad)
         with pytest.raises(gc.BadParamsError):

@@ -498,8 +498,9 @@ def test_generator_bad_params():
         gc.generate("gnp", n=10, p=1.5, seed=0)
     with pytest.raises(gc.BadParamsError):
         gc.generate("moebius", n=10)
-    with pytest.raises(gc.BadParamsError):
-        gc.generate("path", n=4, weight=-1.0)
+    for weight in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(gc.BadParamsError, match="uniform edge weight must be positive and finite"):
+            gc.generate("path", n=4, weight=weight)
 
 
 def test_weight_sampler_applied():
@@ -673,8 +674,8 @@ _PARSE_ERRORS = ("fields", "number")
 
 @pytest.mark.parametrize("order", list(itertools.permutations(_BAD_LINES, 2)), ids="-".join)
 def test_edge_list_first_bad_line_decides(tmp_path, order):
-    # good records with equal weight text, so a bad weight follows a parsed
-    # one; comments of three and of four tokens
+    # good records, so a bad weight follows a parsed one; comments of three
+    # and of four tokens
     head = ["# a comment", "a b 1", "", "#x y z w", "b c 1"]
     lines = head + [_BAD_LINES[kind][0] for kind in order] + ["c d 1"]
     parse = [kind for kind in order if kind in _PARSE_ERRORS]

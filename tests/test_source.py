@@ -157,6 +157,48 @@ def test_second_function_naming_a_rule_is_found():
     assert _functions_naming({"a": tree}, "splu") == ["a.f", "a.C.m"]
 
 
+def _strings(fn: ast.AST) -> list[str]:
+    """The string constants in ``fn``, f-string pieces included, but not the
+    docstrings, which may restate a rule for the reader."""
+    docs = {
+        id(node.body[0].value)
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        n.value
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docs
+    ]
+
+
+def _functions_saying(trees: dict[str, ast.Module], text: str) -> list[str]:
+    """Each top-level function or method with a string constant holding ``text``."""
+    return [qual for qual, fn in _functions(trees) if any(text in s for s in _strings(fn))]
+
+
+def test_finiteness_rule_is_stated_once():
+    # errors._require_finite words every "must be ... and finite" message;
+    # schrodinger_step's "nonzero and finite" dt is a rule of its own
+    assert _functions_saying(_package_trees(), " and finite") == [
+        "errors._require_finite",
+        "evolution.schrodinger_step",
+    ]
+
+
+def test_second_function_stating_a_rule_is_found():
+    tree = ast.parse(
+        'def f(x):\n    """x must be positive and finite."""\n    return x\n'
+        "def g(x):\n    raise ValueError(f'x must be {x} and finite')\n"
+        "class C:\n    def m(self):\n        def h():\n            return 'y: nonnegative and finite'\n"
+        "        return h\n"
+        "    def n(self):\n        return ' and fine'\n"
+    )
+    assert _functions_saying({"a": tree}, " and finite") == ["a.g", "a.C.m"]
+
+
 def test_scipy_is_imported_by_two_functions():
     # SuperLU is loaded by file in calculus._superlu, with no import statement
     assert _importers(_package_trees(), "scipy") == [
