@@ -10,12 +10,16 @@ import atexit
 import functools
 import gc
 import hashlib
-import importlib
 import sys
 import time
 
 import click
 import numpy as np
+
+# The commands reach calculus, elliptic and evolution only through the
+# package's name table, which imports a module at its first use, so a
+# process loads only the modules its command runs.
+import graphcalc
 
 from . import __version__
 from .errors import BadParamsError, GraphCalcError, _require_finite
@@ -31,9 +35,6 @@ from .graph import (
 )
 from .serialize import read_json, write_json
 
-# Each command imports the library module it runs in its own body, so a
-# process loads calculus, elliptic or evolution only when its command needs it.
-
 # At interpreter shut-down a final collection walks and frees every module
 # object, which an exiting CLI process gains nothing from. Frozen objects
 # are left out of that collection. No output waits on a finalizer: every
@@ -41,18 +42,15 @@ from .serialize import read_json, write_json
 # and stderr regardless.
 atexit.register(gc.freeze)
 
-# an input or output file is hashed this many bytes at a time
-_DIGEST_BLOCK_BYTES = 1 << 16
-
-# The certificate trials of each check kind but liouville: the library module
-# and producer a trial runs, whether odd trials draw complex values, and
-# whether the producer gets |u| in place of u.
+# The certificate trials of each check kind but liouville: the producer a
+# trial runs, whether odd trials draw complex values, and whether the
+# producer gets |u| in place of u.
 _TRIALS = {
-    "kato1": ("calculus", "check_kato1", True, False),
-    "kato2": ("calculus", "check_kato2", False, False),
-    "product": ("calculus", "check_product_rule", True, False),
-    "gradient-estimate": ("elliptic", "verify_gradient_estimate", False, True),
-    "max-principle": ("elliptic", "check_strong_max_principle", False, False),
+    "kato1": ("check_kato1", True, False),
+    "kato2": ("check_kato2", False, False),
+    "product": ("check_product_rule", True, False),
+    "gradient-estimate": ("verify_gradient_estimate", False, True),
+    "max-principle": ("check_strong_max_principle", False, False),
 }
 CHECK_KINDS = (*_TRIALS, "liouville")
 
@@ -78,11 +76,8 @@ _READ_ONLY_BY = {
 
 
 def _digest(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(functools.partial(fh.read, _DIGEST_BLOCK_BYTES), b""):
-            h.update(block)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _command_line(ctx: click.Context) -> str:
@@ -170,11 +165,11 @@ def _run_trial(kind, produce, g, seed, trial, tol) -> tuple:
     The report is the trial's worst certificate report (None for
     max-principle), so the caller can name its worst vertex.
     """
-    _, _, complex_odd, takes_abs = _TRIALS[kind]
+    _, complex_odd, takes_abs = _TRIALS[kind]
     rng = np.random.default_rng([seed, trial])
     u = random_vertex_function(g, rng, complex_values=complex_odd and trial % 2 == 1, zero_prob=0.1)
     if takes_abs:
-        u = VertexFunction(g.vertices, np.abs(u.values))
+        u = graphcalc.abs_fn(u)
     result = produce(g, u, tol)
     if kind == "kato2":  # both bounds must hold; the worse report stands for the trial
         rep_abs, rep_pos = result
@@ -215,17 +210,14 @@ def cmd_check(ctx, kind, graph_path, trials, seed, tol, p_exponent, bound, steps
         "tol": tol,
     }
     if kind == "liouville":
-        from .elliptic import liouville_search
-
-        search = liouville_search(
+        search = graphcalc.liouville_search(
             g, p_exponent, bound, restarts=trials, steps=steps, seed=seed
         )
         all_pass = not search.found_counterexample
         report_obj["pass"] = all_pass
         report_obj["search"] = search.to_json_dict()
     else:
-        module, producer = _TRIALS[kind][:2]
-        produce = getattr(importlib.import_module(f".{module}", __package__), producer)
+        produce = getattr(graphcalc, _TRIALS[kind][0])
         all_pass = True
         counts: dict[str, int] = {}
         # the first trial with the smallest finite min slack, and its report
@@ -309,8 +301,6 @@ def _parse_dirichlet(spec):
 @_guard
 def cmd_solve(ctx, problem, graph_path, init_spec, seed, tol, max_iters, config_path, q_spec, f_spec, dirichlet_spec, out):
     """Solve a stationary problem and write solution, report, and certificates."""
-    from .elliptic import Potential, SolverConfig, solve_ginzburg_landau, solve_linear_schrodinger, verify_gl_bound
-
     started = time.perf_counter()
     _reject_unread_options(ctx, "problem")
     if config_path is not None:  # the file's settings replace both, so the run would not read them
@@ -322,7 +312,7 @@ def cmd_solve(ctx, problem, graph_path, init_spec, seed, tol, max_iters, config_
 
     if problem == "gl":
         if config_path is not None:
-            solver_config = SolverConfig.from_json_dict(read_json(config_path))
+            solver_config = graphcalc.SolverConfig.from_json_dict(read_json(config_path))
             if solver_config.seed is not None:
                 if _on_command_line(ctx, "seed"):  # the file's seed would replace it
                     raise BadParamsError("--seed does not apply beside a --config that sets seed")
@@ -331,14 +321,14 @@ def cmd_solve(ctx, problem, graph_path, init_spec, seed, tol, max_iters, config_
             del config["tol"]
             config["solver"] = solver_config.to_json_dict()
         else:
-            solver_config = SolverConfig(tol=tol, max_iters=max_iters)
+            solver_config = graphcalc.SolverConfig(tol=tol, max_iters=max_iters)
         init = _parse_init(init_spec, g, seed)
-        u, report = solve_ginzburg_landau(g, init, solver_config)
+        u, report = graphcalc.solve_ginzburg_landau(g, init, solver_config)
     else:
-        Q = Potential(_parse_function(q_spec, g))
+        Q = graphcalc.Potential(_parse_function(q_spec, g))
         f = _parse_function(f_spec, g)
         dirichlet = _parse_dirichlet(dirichlet_spec)
-        u, report = solve_linear_schrodinger(g, Q, f, dirichlet, tol=tol)
+        u, report = graphcalc.solve_linear_schrodinger(g, Q, f, dirichlet, tol=tol)
     write_vertex_function(u, out)
     write_json(report.to_json_dict(), f"{out}.report.json")
     _emit_manifest(ctx, out, graph_path, seed, config, started)
@@ -348,7 +338,7 @@ def cmd_solve(ctx, problem, graph_path, init_spec, seed, tol, max_iters, config_
             click.echo("gl: no convergence", err=True)
             sys.exit(1)
         # a converged solve's residual is at most its tol, so the bound applies
-        cert = verify_gl_bound(g, u, tol=max(solver_config.tol, 1e-9))
+        cert = graphcalc.verify_gl_bound(g, u, tol=max(solver_config.tol, 1e-9))
         write_json(cert.to_json_dict(), f"{out}.cert.json")
         click.echo(
             f"gl: converged in {report.iterations} iterations, "
@@ -377,35 +367,26 @@ def cmd_solve(ctx, problem, graph_path, init_spec, seed, tol, max_iters, config_
 @_guard
 def cmd_evolve(ctx, flow, graph_path, u0_path, dt, steps, stride, solve_tol, trace_path, out):
     """Run a time evolution, writing the trace CSV and final state JSON."""
-    from .evolution import (
-        EvolutionConfig,
-        EvolutionScheme,
-        check_parabolic_max,
-        evolve_heat,
-        gp_evolve,
-        schrodinger_evolve,
-    )
-
     started = time.perf_counter()
     g = read_edge_list(graph_path)
     u0 = read_vertex_function(u0_path, g)
     scheme = {
-        "heat": EvolutionScheme.HEAT_IMPLICIT,
-        "schrodinger": EvolutionScheme.SCHRODINGER_CN,
-        "gp": EvolutionScheme.GP_STRANG,
+        "heat": graphcalc.EvolutionScheme.HEAT_IMPLICIT,
+        "schrodinger": graphcalc.EvolutionScheme.SCHRODINGER_CN,
+        "gp": graphcalc.EvolutionScheme.GP_STRANG,
     }[flow]
-    cfg = EvolutionConfig(dt=dt, steps=steps, scheme=scheme, solve_tol=solve_tol, stride=stride)
+    cfg = graphcalc.EvolutionConfig(dt=dt, steps=steps, scheme=scheme, solve_tol=solve_tol, stride=stride)
 
     failed = None
     if flow == "heat":
-        final, trace, diag = evolve_heat(g, u0, cfg)
+        final, trace, diag = graphcalc.evolve_heat(g, u0, cfg)
         if not diag.monotone:
             failed = f"max/min envelope violated at step {diag.first_violation_step}"
-        cert = check_parabolic_max(diag)
+        cert = graphcalc.check_parabolic_max(diag)
         if not cert.passed and failed is None:
             failed = "parabolic maximum certificate failed"
     elif flow == "schrodinger":
-        final, trace = schrodinger_evolve(g, u0, cfg)
+        final, trace = graphcalc.schrodinger_evolve(g, u0, cfg)
         m0, e0 = trace.mass[0], trace.dirichlet_energy[0]
         mass_drift = max(abs(m - m0) for m in trace.mass) / max(m0, 1e-300)
         energy_drift = max(abs(e - e0) for e in trace.dirichlet_energy) / max(1.0, e0)
@@ -415,7 +396,7 @@ def cmd_evolve(ctx, flow, graph_path, u0_path, dt, steps, stride, solve_tol, tra
                 f"energy drift {energy_drift:.3e}"
             )
     else:
-        final, trace = gp_evolve(g, u0, cfg)
+        final, trace = graphcalc.gp_evolve(g, u0, cfg)
 
     trace.write_csv(trace_path)
     write_vertex_function(final, out)

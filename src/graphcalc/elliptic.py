@@ -69,7 +69,8 @@ class SolverConfig(JsonRecord):
 
     def __post_init__(self):
         _require_finite("tol", self.tol, positive=True)
-        if self.max_iters < 0 or not (0 < self.damping <= 1):
+        integral = isinstance(self.max_iters, (int, np.integer))
+        if not integral or self.max_iters < 0 or not (0 < self.damping <= 1):
             raise BadParamsError(f"invalid solver configuration {self!r}")
 
     @classmethod
@@ -266,8 +267,10 @@ def solve_ginzburg_landau(
     u <- u + damping * r, which follow the preconditioned gradient flow of
     the free energy away from the saddle; the streak length doubles after
     consecutive failures so slowly translating domain walls can annihilate.
-    Every state update counts toward ``max_iters``; the report carries
-    ``converged=False`` rather than raising when the budget runs out.
+    A streak whose residual grows a hundredfold or stops being finite is
+    rolled back to the state it started from. Every state update counts
+    toward ``max_iters``; the report carries ``converged=False`` rather than
+    raising when the budget runs out.
     """
     cfg = config or SolverConfig()
     v = require_same_domain(g, init).copy()
@@ -312,16 +315,19 @@ def solve_ginzburg_landau(
 
         if not took_step or stagnant:
             damping_events += 1
-            entry_rn = rn
-            for _ in range(streak):
-                v = v + cfg.damping * r
-                r = _gl_residual(g, v)
-                rn = float(np.max(np.abs(r)))
-                iterations += 1
-                if iterations >= cfg.max_iters or rn <= cfg.tol:
-                    break
-                if not np.isfinite(rn) or rn > 100.0 * max(entry_rn, 1e-8):
-                    break
+            entry_v, entry_r, entry_rn = v, r, rn
+            # a diverging streak may overflow; the guard below catches it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(streak):
+                    v = v + cfg.damping * r
+                    r = _gl_residual(g, v)
+                    rn = float(np.max(np.abs(r)))
+                    iterations += 1
+                    if not np.isfinite(rn) or rn > 100.0 * max(entry_rn, 1e-8):
+                        v, r, rn = entry_v, entry_r, entry_rn
+                        break
+                    if iterations >= cfg.max_iters or rn <= cfg.tol:
+                        break
             streak = min(2 * streak, 50_000)
             if delta is None and rn >= entry_rn:
                 singular_stalls += 1
@@ -530,14 +536,12 @@ def keller_osserman_chain(
     w_cap = a / rho
 
     chain = [i0]
-    chain_values = [float(w[i0])]
     increments: list[float] = []
     visited = {i0}
-    outcome = None
     violation_vertex = None
     premise_slack = None
 
-    for _ in range(g.n_vertices):
+    while True:
         x = chain[-1]
         inc = rho ** (p - 1.0) * w[x] ** p
         lo, hi = g._row_ptr[x], g._row_ptr[x + 1]
@@ -552,7 +556,6 @@ def keller_osserman_chain(
             break
         increments.append(float(inc))
         chain.append(best)
-        chain_values.append(float(w[best]))
         if best in visited:
             outcome = ChainOutcome.REVISIT_CONTRADICTION
             break
@@ -560,13 +563,11 @@ def keller_osserman_chain(
             outcome = ChainOutcome.ESCAPED_BOUND
             break
         visited.add(best)
-    if outcome is None:
-        raise RuntimeError("chain failed to reach a verdict within |X| steps")
 
     return ChainCertificate(
         outcome=outcome,
         chain=tuple(g.vertices[i] for i in chain),
-        values=tuple(chain_values),
+        values=tuple(w[chain].tolist()),
         increments=tuple(increments),
         rho=rho,
         p=float(p),
@@ -820,8 +821,8 @@ def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[Spect
     import scipy.sparse.linalg as spla
 
     n = g.n_vertices
-    if not (1 <= k <= n):
-        raise BadParamsError(f"need 1 <= k <= {n}, got k={k!r}")
+    if not isinstance(k, (int, np.integer)) or not (1 <= k <= n):
+        raise BadParamsError(f"need an integer 1 <= k <= {n}, got k={k!r}")
     _require_finite("tol", tol, positive=True)
     dsqrt = np.sqrt(g.degrees)
     if k >= n - 1:

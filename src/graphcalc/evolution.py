@@ -71,11 +71,11 @@ class EvolutionConfig:
     def __post_init__(self):
         object.__setattr__(self, "scheme", EvolutionScheme(self.scheme))
         _require_finite("dt", self.dt, positive=True)
-        if self.steps < 1:
-            raise BadParamsError(f"steps must be >= 1, got {self.steps!r}")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+            raise BadParamsError(f"steps must be an integer >= 1, got {self.steps!r}")
         _require_finite("solve_tol", self.solve_tol, positive=True)
-        if self.stride < 1:
-            raise BadParamsError(f"stride must be >= 1, got {self.stride!r}")
+        if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
+            raise BadParamsError(f"stride must be an integer >= 1, got {self.stride!r}")
 
 
 @dataclass

@@ -62,9 +62,8 @@ def test_gen_gnp_deterministic_bytes(runner, tmp_path):
 
 
 @pytest.mark.parametrize("size", [0, 6, 7, 8, 70, 1000])
-def test_digest_in_blocks_equals_whole_file_hash(monkeypatch, tmp_path, size):
-    # files shorter than, equal to, a multiple of and longer than a block
-    monkeypatch.setattr(cli, "_DIGEST_BLOCK_BYTES", 7)
+def test_digest_in_blocks_equals_whole_file_hash(tmp_path, size):
+    # an empty file and files of several sizes
     path = tmp_path / "f.bin"
     path.write_bytes(np.random.default_rng(size).bytes(size))
     assert cli._digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
@@ -298,6 +297,18 @@ def test_solve_gl_no_convergence_exit_1(runner, tmp_path):
     assert result.exit_code == 1
     report = json.loads((tmp_path / "sol.json.report.json").read_text())
     assert report["converged"] is False
+
+
+def test_solve_gl_diverging_streak_exit_0(runner, tmp_path):
+    # every value is finite, but a fixed-point streak from this start blows
+    # up; kept, its state overflowed and the run exited 2 blaming the input
+    g, gpath = _write_graph(tmp_path, "cycle", n=6)
+    init = gc.random_vertex_function(g, np.random.default_rng(4), scale=5.0)
+    u0 = _write_u0(tmp_path, g, init.values)
+    out = tmp_path / "sol.json"
+    result = _invoke(runner, ["solve", "gl", "--graph", str(gpath), "--init", str(u0), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "sol.json.cert.json").read_text())["pass"] is True
 
 
 def test_solve_schrodinger_stationary_hand_case(runner, tmp_path):

@@ -155,6 +155,17 @@ def test_gl_zero_budget_returns_unconverged(k3):
     assert report.final_residual > 0
 
 
+def test_gl_diverged_streak_is_rolled_back():
+    # from this start a fixed-point streak blows up; the solver resumes from
+    # the state the streak began at, where keeping the blown-up state
+    # overflowed and ended in NonFiniteValueError
+    c6 = gc.generate("cycle", n=6)
+    init = gc.random_vertex_function(c6, np.random.default_rng(4), scale=5.0)
+    u, report = gc.solve_ginzburg_landau(c6, init)
+    assert report.converged
+    assert gc.verify_gl_bound(c6, u, tol=1e-9).passed
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_gl_exactly_singular_jacobian_falls_back(monkeypatch, p3, dtype):
     # on the path a-b-c the rows of P for a and c coincide, so at
@@ -195,6 +206,9 @@ def test_solver_config_validation():
             gc.SolverConfig(tol=tol)
     with pytest.raises(gc.BadParamsError):
         gc.SolverConfig(damping=0.0)
+    for max_iters in (-1, 2.5, float("nan")):
+        with pytest.raises(gc.BadParamsError):
+            gc.SolverConfig(max_iters=max_iters)
     cfg = gc.SolverConfig.from_json_dict({"tol": 1e-8, "max_iters": 10, "damping": 0.5, "seed": 3})
     assert cfg.tol == 1e-8 and cfg.max_iters == 10 and cfg.damping == 0.5 and cfg.seed == 3
     assert json.loads(json.dumps(cfg.to_json_dict()))["tol"] == 1e-8
@@ -827,6 +841,11 @@ def test_spectrum_k_validation(k3):
         gc.spectrum_smallest(k3, 0)
     with pytest.raises(gc.BadParamsError):
         gc.spectrum_smallest(k3, 4)
+    # k < n - 1 on the 6-cycle, where a fractional k would reach ARPACK
+    for g in (k3, gc.generate("cycle", n=6)):
+        for k in (2.5, float("nan")):
+            with pytest.raises(gc.BadParamsError, match="need an integer"):
+                gc.spectrum_smallest(g, k)
 
 
 def test_spectrum_tol_validation():

@@ -24,10 +24,11 @@ def test_config_validation():
     for solve_tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(gc.BadParamsError):
             gc.EvolutionConfig(dt=0.1, steps=5, scheme="heat_implicit", solve_tol=solve_tol)
-    with pytest.raises(gc.BadParamsError):
-        gc.EvolutionConfig(dt=0.1, steps=0, scheme="heat_implicit")
-    with pytest.raises(gc.BadParamsError):
-        gc.EvolutionConfig(dt=0.1, steps=5, scheme="heat_implicit", stride=0)
+    for count in (0, 2.5, float("nan")):
+        with pytest.raises(gc.BadParamsError, match="steps must be an integer"):
+            gc.EvolutionConfig(dt=0.1, steps=count, scheme="heat_implicit")
+        with pytest.raises(gc.BadParamsError, match="stride must be an integer"):
+            gc.EvolutionConfig(dt=0.1, steps=10, scheme="heat_implicit", stride=count)
     with pytest.raises(ValueError):
         gc.EvolutionConfig(dt=0.1, steps=5, scheme="other")
     cfg = gc.EvolutionConfig(dt=0.1, steps=5, scheme="schrodinger_cn")

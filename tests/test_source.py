@@ -141,6 +141,7 @@ def _importers(trees: dict[str, ast.Module], package: str) -> list[str]:
         ("ComplexNotAllowedError", "calculus._require_real"),
         ("load", "serialize.read_json"),
         ("_step_matrix", "evolution._implicit_stepper"),
+        ("import_module", "__init__.__getattr__"),
     ],
 )
 def test_rule_is_stated_in_one_function(name, owner):
@@ -216,3 +217,31 @@ def test_third_scipy_importer_is_found():
         "class C:\n    def m(self):\n        def inner():\n            from scipy.sparse import eye\n"
     )
     assert _importers({"a": tree}, "scipy") == ["a", "a.f", "a.g", "a.C.m"]
+
+
+def _package_importers(trees: dict[str, ast.Module]) -> list[str]:
+    """Each top-level function or method that imports a graphcalc module, by
+    a relative import or by the package's name."""
+    return [
+        qual
+        for qual, fn in _functions(trees)
+        if _imports(fn, "graphcalc")
+        or any(isinstance(n, ast.ImportFrom) and n.level > 0 for n in ast.walk(fn))
+    ]
+
+
+def test_cli_functions_import_no_package_module():
+    # the CLI reaches calculus, elliptic and evolution through the package's
+    # name table, which loads each on first use
+    assert _package_importers({"cli": _package_trees()["cli"]}) == []
+
+
+def test_function_importing_a_package_module_is_found():
+    tree = ast.parse(
+        "import graphcalc\nfrom . import errors\n"
+        "def f():\n    from .elliptic import SolverConfig\n"
+        "def g():\n    import graphcalc.evolution\n"
+        "def h():\n    import graphcalcx\n    return graphcalc.abs_fn\n"
+        "class C:\n    def m(self):\n        def inner():\n            from .. import calculus\n"
+    )
+    assert _package_importers({"a": tree}) == ["a.f", "a.g", "a.C.m"]
