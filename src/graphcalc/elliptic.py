@@ -107,10 +107,9 @@ class SolveReport(JsonRecord):
 # -- linear Schrodinger systems on truncations --------------------------------
 
 
-def _schrodinger_system(g: WeightedGraph, qv: np.ndarray, free: np.ndarray, u: np.ndarray, bordered: bool):
-    """The free-vertex block S_ff of S = (D - W) + D Q, in the dtype of ``u``
-    and bordered as [[S_ff, d], [d^T, 0]] if ``bordered``, and S_fb u_b, the
-    boundary values ``u`` carries seen by the free rows.
+def _schrodinger_system(g: WeightedGraph, qv: np.ndarray, free: np.ndarray, u: np.ndarray):
+    """The free-vertex block S_ff of S = (D - W) + D Q, in the dtype of ``u``,
+    and S_fb u_b, the boundary values ``u`` carries seen by the free rows.
 
     S has the diagonal d + d q and the entries 0 - w, as scipy's sparse sum
     gives them, and each free row sums its boundary terms in column order.
@@ -126,14 +125,7 @@ def _schrodinger_system(g: WeightedGraph, qv: np.ndarray, free: np.ndarray, u: n
     np.add.at(s_fb_u, at[rows[coupling]], entries[coupling] * u[cols[coupling]])
     inner = is_free[rows] & is_free[cols]
     rows, cols, entries = at[rows[inner]], at[cols[inner]], entries[inner]
-    size = free.size
-    if bordered:  # every vertex is free: column n and row n hold d
-        size = n + 1
-        index, border = np.arange(n), np.full(n, n)
-        rows = np.concatenate([rows, index, border])
-        cols = np.concatenate([cols, border, index])
-        entries = np.concatenate([entries, d, d])
-    return _csc(size, rows, cols, entries.astype(u.dtype)), s_fb_u
+    return _csc(free.size, rows, cols, entries.astype(u.dtype)), s_fb_u
 
 
 def solve_linear_schrodinger(
@@ -149,9 +141,8 @@ def solve_linear_schrodinger(
     clamped to the given values and exempt from the equation. Without any
     Dirichlet vertex and with Q identically zero the system is singular and
     ``f`` must satisfy the compatibility condition sum_x d_x f(x) = 0; the
-    solution is then fixed by the gauge sum_x d_x u(x) = 0, imposed as the
-    border of the nonsingular system [[S, d], [d^T, 0]] whose multiplier
-    absorbs the tolerated incompatibility.
+    tolerated incompatibility is projected out of ``f``, the first vertex is
+    pinned at 0, and the solution is shifted to the gauge sum_x d_x u(x) = 0.
 
     Every case is one sparse LU factorization of the free-vertex block of
     S = D - W + D Q, in complex arithmetic when ``f`` or the Dirichlet data
@@ -176,20 +167,22 @@ def solve_linear_schrodinger(
     u = np.zeros(n, dtype=dtype)
     u[bidx] = bvals
 
-    if free.size:
-        pure_neumann = len(bidx) == 0 and float(np.max(qv)) == 0.0
-        if pure_neumann:
-            compat = np.sum(g.degrees * fv).item()
-            scale = max(1.0, float(np.max(np.abs(rhs_full))))
-            if abs(compat) > tol * scale * n:
-                raise IncompatibleRHSError(
-                    f"singular system: sum d_x f(x) = {compat!r} must vanish"
-                )
-        matrix, coupling = _schrodinger_system(g, qv, free, u, pure_neumann)
-        rhs = rhs_full[free].astype(dtype) - coupling
-        if pure_neumann:
-            rhs = np.append(rhs, 0.0)
-        u[free] = _splu(matrix, SingularSystemError).solve(rhs)[: free.size]
+    pure_neumann = len(bidx) == 0 and float(np.max(qv)) == 0.0
+    solved = free
+    if pure_neumann:
+        compat = np.sum(g.degrees * fv).item()
+        scale = max(1.0, float(np.max(np.abs(rhs_full))))
+        if abs(compat) > tol * scale * n:
+            raise IncompatibleRHSError(
+                f"singular system: sum d_x f(x) = {compat!r} must vanish"
+            )
+        rhs_full -= g.degrees * (compat / np.sum(g.degrees))
+        solved = free[1:]  # the graph is connected, so pinning one vertex makes S_ff nonsingular
+    if solved.size:
+        matrix, coupling = _schrodinger_system(g, qv, solved, u)
+        u[solved] = _splu(matrix, SingularSystemError).solve(rhs_full[solved].astype(dtype) - coupling)
+    if pure_neumann:
+        u -= np.sum(g.degrees * u) / np.sum(g.degrees)
 
     residual = _laplacian_values(g, u) * -1.0 + qv * u - fv
     res = float(np.max(np.abs(residual[free]))) if free.size else 0.0
@@ -759,11 +752,14 @@ def check_strong_max_principle(
     """Desk-scale strong maximum principle check.
 
     If lap(u) dips below -tol anywhere the input is simply not subharmonic.
-    Otherwise the maximum is attained (finite graph) and u must be constant:
-    the range is compared against a degree-scaled tolerance, since
-    lap(u) >= -tol plus the null-sum identity only pins lap(u) down to
-    tol * (sum d_x / min d_x). A ``violation`` return would falsify the
-    principle and indicates a bug.
+    Otherwise the maximum is attained (finite graph) and u must be constant
+    up to the tolerance: by optional stopping of the random walk from x at
+    its first visit to y, lap(u) >= -tol gives u(x) - u(y) <= tol * H(x, y),
+    with H(x, y) >= 1 the expected hitting time. A spread of at most tol is
+    confirmed at once; a larger one is held against H from the argmax to the
+    argmin, one Dirichlet solve of -lap(H) = 1 with H(y) = 0, with margins
+    for the rounding of the float Laplacian and of the solve. A
+    ``violation`` return would falsify the principle and indicates a bug.
     """
     _require_real(u, "check_strong_max_principle")
     _require_finite("tol", tol)
@@ -772,13 +768,20 @@ def check_strong_max_principle(
     imin = int(np.argmin(lap))
     if lap[imin] < -tol:
         return MaxPrincipleResult(MaxPrincipleOutcome.NOT_SUBHARMONIC, g.vertices[imin])
-    spread = float(np.max(values) - np.min(values))
-    scale = max(1.0, float(np.sum(g.degrees) / np.min(g.degrees)))
-    if spread <= tol * scale:
+    top, bottom = int(np.argmax(values)), int(np.argmin(values))
+    spread = float(values[top] - values[bottom])
+    if spread <= tol:
         return MaxPrincipleResult(MaxPrincipleOutcome.CONSTANT_CONFIRMED)
-    return MaxPrincipleResult(
-        MaxPrincipleOutcome.VIOLATION, g.vertices[int(np.argmax(values))]
+    hitting, _ = solve_linear_schrodinger(
+        g, Potential.zero(g), VertexFunction.constant(g, 1.0), {g.vertices[bottom]: 0.0}
     )
+    # a float row of k terms coef * (u(y) - u(x)), the coefficients summing
+    # to 1, errs by at most gamma_(2k+1) * 2 max|u| < (2k + 4) eps max|u|
+    k = int(np.max(np.diff(g._row_ptr)))
+    rounding = (2 * k + 4) * np.finfo(np.float64).eps * float(np.max(np.abs(values)))
+    if spread <= (tol + rounding) * hitting.values[top] * (1.0 + 1e-8):
+        return MaxPrincipleResult(MaxPrincipleOutcome.CONSTANT_CONFIRMED)
+    return MaxPrincipleResult(MaxPrincipleOutcome.VIOLATION, g.vertices[top])
 
 
 # -- spectra ------------------------------------------------------------------------

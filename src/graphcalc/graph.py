@@ -145,8 +145,9 @@ class WeightedGraph:
 
     An unordered edge {x, y} carries a single weight mu_xy = mu_yx > 0, and
     each vertex has degree d_x = sum of the weights of its incident edges.
-    Self-loops, duplicate edges, and disconnected inputs are rejected at
-    construction, so every instance satisfies d_x > 0.
+    Self-loops, duplicate edges, disconnected inputs and degrees beyond the
+    largest double are rejected at construction, so every instance satisfies
+    0 < d_x < inf.
 
     The CSR arrays (``_row_ptr``, ``_ent_rows``, ``_ent_cols``, ``_ent_w``
     and ``_ent_coef``, rows and columns ascending in vertex order) are the
@@ -240,7 +241,14 @@ class WeightedGraph:
 
         # Degrees accumulate per row via reduceat in ascending neighbor
         # order; recomputing with the same reduction matches bitwise.
-        degrees = np.add.reduceat(data, row_ptr[:-1])
+        with np.errstate(over="ignore"):
+            degrees = np.add.reduceat(data, row_ptr[:-1])
+        infinite = ~np.isfinite(degrees)
+        if infinite.any():
+            bad = vertices[int(infinite.argmax())]
+            raise BadParamsError(
+                f"the degree of vertex {bad!r} overflows: its weights sum beyond the largest double"
+            )
         coef = degrees[rows]
         np.divide(data, coef, out=coef)
 

@@ -5,6 +5,8 @@ loops (or separately assembled dense matrices), deliberately avoiding the
 package's CSR fast paths, so the two sides can disagree when one is wrong.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -226,6 +228,46 @@ def eigenvalues_ref(g) -> np.ndarray:
     """Sorted eigenvalues of -lap from a dense nonsymmetric eigensolver."""
     evals = scipy.linalg.eigvals(-laplacian_matrix_ref(g))
     return np.sort(evals.real)
+
+
+def neumann_ref(g, f: np.ndarray) -> np.ndarray:
+    """The pure-Neumann solution of -lap u = f - lambda with the gauge
+    sum_x d_x u(x) = 0, from a dense solve of the bordered system
+    [[S, d], [d^T, 0]] [u, lambda] = [D f, 0], where S = -D lap and the
+    multiplier lambda absorbs any incompatibility of f."""
+    n = g.n_vertices
+    deg = degrees_ref(g)
+    d = np.array([deg[v] for v in g.vertices])
+    bordered = np.zeros((n + 1, n + 1), dtype=np.result_type(f, float))
+    bordered[:n, :n] = -d[:, None] * laplacian_matrix_ref(g)
+    bordered[:n, n] = bordered[n, :n] = d
+    return np.linalg.solve(bordered, np.append(d * f, 0.0))[:n]
+
+
+def hitting_time_ref(g, target: str) -> dict:
+    """Expected hitting times E_x tau_target of the random walk, in exact
+    rational arithmetic: h(target) = 0 and h(x) - sum_y (mu_xy / d_x) h(y) = 1
+    elsewhere, by Gauss-Jordan elimination over Fractions."""
+    adj = adjacency(g)
+    free = [v for v in g.vertices if v != target]
+    at = {v: i for i, v in enumerate(free)}
+    rows = []
+    for x in free:
+        deg = sum(Fraction(w) for _, w in adj[x])
+        row = [Fraction(0)] * len(free) + [Fraction(1)]
+        row[at[x]] += 1
+        for y, w in adj[x]:
+            if y != target:
+                row[at[y]] -= Fraction(w) / deg
+        rows.append(row)
+    for i in range(len(free)):
+        pivot = next(r for r in range(i, len(free)) if rows[r][i] != 0)
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        rows[i] = [a / rows[i][i] for a in rows[i]]
+        for r in range(len(free)):
+            if r != i and rows[r][i] != 0:
+                rows[r] = [a - rows[r][i] * b for a, b in zip(rows[r], rows[i])]
+    return {target: Fraction(0), **{x: rows[at[x]][-1] for x in free}}
 
 
 def heat_final_ref(g, u0: np.ndarray, dt: float, steps: int) -> np.ndarray:

@@ -526,6 +526,19 @@ def test_non_finite_input_exit_2(runner, tmp_path, monkeypatch, args, files, mes
     assert result.output.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_degree_exit_2(runner, tmp_path, monkeypatch):
+    # the degrees of a triangle with weights 1e308 overflow; an infinite degree
+    # would make every coefficient mu / d zero and lap identically 0
+    (tmp_path / "tri.edges").write_text("a b 1e308\nb c 1e308\na c 1e308\n")
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["check", "kato1", "--graph", "tri.edges", "--trials", "20"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: the degree of vertex 'a' overflows")
+    assert result.output.count("\n") == 1
+
+
 # Runs that give an option their family, kind or problem never reads, and
 # the option and choice the error names
 @pytest.mark.parametrize(
@@ -575,7 +588,9 @@ PINNED_RUNS = {
 
 # SHA-256 of stdout and of each output file of the PINNED_RUNS (manifests
 # without their wall time), recorded before `solve` wrote its outputs from one
-# path and `check` ran its trials from one table
+# path and `check` ran its trials from one table; solve-neumann's solution,
+# report and stdout were re-recorded when the pure-Neumann solve began to pin
+# a vertex instead of bordering the system (last-bit changes of u)
 PINNED_RUN_SHA256 = {
     "check-liouville": {
         "report.json": "8c96087313adaa86a1cd98f61bd116be5100ab20d3fd4db6dc592eee538b3bef",
@@ -601,10 +616,10 @@ PINNED_RUN_SHA256 = {
         "stdout": "8e77446fa363882a1268c864dabe2a3f5311d7ca33c6d9c4eb35cc5527460fab",
     },
     "solve-neumann": {
-        "sol.json": "d4e053edb49f25775b4c180696a4d5402bf58e4489cb5f5a755efe47c21fe864",
+        "sol.json": "152d106aa9ea1ee2eb656686836aebc02bffe333fe85cf74c5b003275f08f40c",
         "sol.json.manifest.json": "e7cf6510b2ddb3ee6fdbcf90950f4717120f2a8bbb3de6e51d3520e171405d20",
-        "sol.json.report.json": "41445fe5b304943f56bec30867b94d0eb3c889d3a70cdbc0e275060d8bc64853",
-        "stdout": "fc0cf9cb3a630044370a5123486e38b193465af3dd287b6c213065224f6b9ca4",
+        "sol.json.report.json": "46b8816e88c0f6a9ee3d93d3834a53022ac409ae91ec1300e17c31e6ff1d4a39",
+        "stdout": "d2c19e39cb92a94d9395b15438c541a8eeca2fe763bb7f29b9e6837507ceccdd",
     },
 }
 

@@ -8,7 +8,7 @@ import pytest
 import graphcalc as gc
 from graphcalc import elliptic
 from conftest import family_corpus
-from oracles import cap_root_ref, eigenvalues_ref
+from oracles import cap_root_ref, eigenvalues_ref, hitting_time_ref, neumann_ref
 
 
 # -- linear Schrodinger systems ---------------------------------------------------
@@ -59,6 +59,61 @@ def test_pure_neumann_compatible_solves_with_zero_mean_gauge(p3):
     assert abs(np.sum(p3.degrees * u.values)) <= 1e-10
     residual = -gc.laplacian(p3, u).values + 0.0 - f.values
     assert np.max(np.abs(residual)) <= 1e-10
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_pure_neumann_matches_bordered_reference(complex_data):
+    rng = np.random.default_rng(11)
+    grid12 = gc.generate(
+        "grid2d", rows=12, cols=12, seed=5, weight_sampler=lambda r, m: r.uniform(0.2, 3.0, m)
+    )
+    for name, g in [*family_corpus(2), ("grid12", grid12)]:
+        n = g.n_vertices
+        f = rng.uniform(-1.0, 1.0, n) + (1j * rng.uniform(-1.0, 1.0, n) if complex_data else 0.0)
+        f -= np.dot(g.degrees, f) / np.sum(g.degrees)
+        # a uniform shift of 1e-12 is an incompatibility within the tolerance
+        for data in (f, f + 1e-12):
+            ref = neumann_ref(g, data)
+            u, report = gc.solve_linear_schrodinger(
+                g, gc.Potential.zero(g), gc.VertexFunction(g.vertices, data)
+            )
+            assert report.converged, name
+            assert u.is_complex == complex_data
+            assert np.max(np.abs(u.values - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+            assert abs(np.sum(g.degrees * u.values)) <= 1e-10, name
+
+
+def _hitting_times(g, target):
+    h, report = gc.solve_linear_schrodinger(
+        g, gc.Potential.zero(g), gc.VertexFunction.constant(g, 1.0), {target: 0.0}
+    )
+    assert report.converged
+    return h
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_hitting_time_across_the_path_is_squared_length(n):
+    g = gc.generate("path", n=n)
+    far_end = _hitting_times(g, g.vertices[0])[g.vertices[-1]]
+    assert far_end == pytest.approx((n - 1) ** 2, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_hitting_time_on_complete_graph_is_n_minus_one(n):
+    g = gc.generate("complete", n=n)
+    h = _hitting_times(g, g.vertices[0]).values
+    assert h[0] == 0.0
+    assert np.max(np.abs(h[1:] - (n - 1))) <= 1e-12 * (n - 1)
+
+
+def test_hitting_times_match_exact_rational_solve():
+    for name, g in family_corpus(2):
+        if g.n_vertices > 8:
+            continue
+        target = g.vertices[-1]
+        h = _hitting_times(g, target)
+        for v, exact in hitting_time_ref(g, target).items():
+            assert h[v] == pytest.approx(float(exact), rel=1e-12, abs=0.0), (name, v)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -734,6 +789,32 @@ def test_smp_never_violation_random():
             u = gc.random_vertex_function(g, rng, zero_prob=0.05)
             result = gc.check_strong_max_principle(g, u)
             assert result.outcome is not gc.MaxPrincipleOutcome.VIOLATION
+
+
+@pytest.mark.parametrize("n", [12, 30, 100])
+def test_smp_confirms_spread_within_hitting_time_bound(n):
+    # u = eps phi_1 has lap(u) >= -tol / 2 and a spread above tol * sum d / min d;
+    # u(x) - u(y) <= tol * H(x, y) bounds it, so the principle holds
+    tol = 1e-10
+    g = gc.generate("path", n=n)
+    phi = gc.spectrum_smallest(g, 2)[1].eigenvector
+    u = gc.VertexFunction(g.vertices, phi.values * (tol / 2) / -np.min(gc.laplacian(g, phi).values))
+    assert np.min(gc.laplacian(g, u).values) >= -tol
+    assert np.ptp(u.values) > tol * np.sum(g.degrees) / np.min(g.degrees)
+    result = gc.check_strong_max_principle(g, u, tol)
+    assert result.outcome is gc.MaxPrincipleOutcome.CONSTANT_CONFIRMED
+
+
+def test_smp_reports_violation_against_a_wrong_laplacian(monkeypatch):
+    # with |lap(u)| in place of lap(u) a nonconstant u looks subharmonic, and
+    # its spread 1 is far above tol * H = 121 tol
+    g = gc.generate("path", n=12)
+    true_laplacian = elliptic._laplacian_values
+    monkeypatch.setattr(elliptic, "_laplacian_values", lambda g, v: np.abs(true_laplacian(g, v)))
+    u = gc.VertexFunction(g.vertices, np.linspace(0.0, 1.0, 12))
+    result = gc.check_strong_max_principle(g, u)
+    assert result.outcome is gc.MaxPrincipleOutcome.VIOLATION
+    assert result.vertex == g.vertices[-1]
 
 
 def test_smp_rejects_complex(k3):

@@ -60,6 +60,17 @@ def test_nonpositive_weight_rejected():
             gc.build_graph([("a", "b", w)])
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_degree_rejected():
+    # every weight is finite, but two of them sum beyond the largest double
+    with pytest.raises(gc.BadParamsError, match="degree of vertex 'a' overflows"):
+        gc.build_graph([("a", "b", 1e308), ("b", "c", 1e308), ("a", "c", 1e308)])
+    with pytest.raises(gc.BadParamsError, match="degree of vertex 'b' overflows"):
+        gc.build_graph([("a", "b", 1e308), ("b", "c", 1e308)])
+    g = gc.build_graph([("a", "b", 1e308), ("b", "c", 1.0)])
+    assert np.all(np.isfinite(g.degrees))
+
+
 def test_disconnected_rejected():
     with pytest.raises(gc.DisconnectedError):
         gc.build_graph([("a", "b", 1.0), ("c", "d", 1.0)])

@@ -106,22 +106,9 @@ def test_schrodinger_free_block_and_coupling_match_scipy(g, complex_data):
     u[bidx[0]] = -0.0  # a signed zero among the boundary values
 
     S = (_laplacian_ref(g) + sp.diags(g.degrees * qv)).tocsr()
-    matrix, coupling = _schrodinger_system(g, qv, free, u, bordered=False)
+    matrix, coupling = _schrodinger_system(g, qv, free, u)
     _assert_same_matrix(matrix, S[np.ix_(free, free)].astype(u.dtype))
     _same_bits(coupling, S[np.ix_(free, bidx)] @ u[bidx])
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_bordered_neumann_system_matches_scipy(g, dtype):
-    n = g.n_vertices
-    qv = np.zeros(n)
-    free = np.arange(n)
-    S = (_laplacian_ref(g) + sp.diags(g.degrees * qv)).tocsr()
-    gauge = sp.csr_matrix(g.degrees[None, :])
-    ref = sp.bmat([[S[np.ix_(free, free)], gauge.T], [gauge, None]]).astype(dtype)
-    matrix, coupling = _schrodinger_system(g, qv, free, np.zeros(n, dtype=dtype), bordered=True)
-    _assert_same_matrix(matrix, ref)
-    _same_bits(coupling, np.zeros(n, dtype=dtype))
 
 
 def _gl_jacobian_ref(g, v):

@@ -142,6 +142,8 @@ def _importers(trees: dict[str, ast.Module], package: str) -> list[str]:
         ("load", "serialize.read_json"),
         ("_step_matrix", "evolution._implicit_stepper"),
         ("import_module", "__init__.__getattr__"),
+        ("_schrodinger_system", "elliptic.solve_linear_schrodinger"),
+        ("IncompatibleRHSError", "elliptic.solve_linear_schrodinger"),
     ],
 )
 def test_rule_is_stated_in_one_function(name, owner):
