@@ -131,6 +131,7 @@ class CertificateReport(JsonRecord):
         """Build a report over the slack array ``values``; see :class:`SlackView`
         for ``keys`` and ``index``. The report keeps ``values`` and makes it
         read-only."""
+        _require_finite("tol", tol)
         return cls(check, float(tol), SlackView(keys, values, index=index), info)
 
     def worst_vertex(self) -> str | None:

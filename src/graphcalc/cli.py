@@ -22,7 +22,7 @@ import numpy as np
 import graphcalc
 
 from . import __version__
-from .errors import BadParamsError, GraphCalcError, _require_finite
+from .errors import BadParamsError, GraphCalcError, _require_count, _require_finite
 from .graph import (
     VertexFunction,
     d_constant,
@@ -195,8 +195,7 @@ def _run_trial(kind, produce, g, seed, trial, tol) -> tuple:
 def cmd_check(ctx, kind, graph_path, trials, seed, tol, p_exponent, bound, steps, out):
     """Run randomized certificate trials for KIND on a graph."""
     started = time.perf_counter()
-    if trials < 1:
-        raise BadParamsError(f"trials must be >= 1, got {trials}")
+    _require_count("trials", trials, 1)
     _require_finite("tol", tol)
     _reject_unread_options(ctx, "kind")
     g = read_edge_list(graph_path)

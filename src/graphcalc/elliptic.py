@@ -36,6 +36,7 @@ from .errors import (
     NotASolutionError,
     SingularJacobianError,
     SingularSystemError,
+    _require_count,
     _require_finite,
 )
 from .graph import VertexFunction, WeightedGraph, d_constant, require_same_domain
@@ -69,9 +70,10 @@ class SolverConfig(JsonRecord):
 
     def __post_init__(self):
         _require_finite("tol", self.tol, positive=True)
-        integral = isinstance(self.max_iters, (int, np.integer))
-        if not integral or self.max_iters < 0 or not (0 < self.damping <= 1):
-            raise BadParamsError(f"invalid solver configuration {self!r}")
+        _require_count("max_iters", self.max_iters, 0)
+        _require_finite("damping", self.damping, positive=True)
+        if self.damping > 1:
+            raise BadParamsError(f"damping must be at most 1, got {self.damping!r}")
 
     @classmethod
     def from_json_dict(cls, obj) -> "SolverConfig":
@@ -140,9 +142,9 @@ def solve_linear_schrodinger(
     Vertices listed in ``dirichlet`` (mapping or (vertex, value) pairs) are
     clamped to the given values and exempt from the equation. Without any
     Dirichlet vertex and with Q identically zero the system is singular and
-    ``f`` must satisfy the compatibility condition sum_x d_x f(x) = 0; the
-    tolerated incompatibility is projected out of ``f``, the first vertex is
-    pinned at 0, and the solution is shifted to the gauge sum_x d_x u(x) = 0.
+    ``f`` must satisfy |sum_x d_x f(x)| <= tol * sum_x d_x; that incompatibility
+    is projected out of ``f``, the first vertex is pinned at 0, and the
+    solution is shifted to the gauge sum_x d_x u(x) = 0.
 
     Every case is one sparse LU factorization of the free-vertex block of
     S = D - W + D Q, in complex arithmetic when ``f`` or the Dirichlet data
@@ -170,13 +172,11 @@ def solve_linear_schrodinger(
     pure_neumann = len(bidx) == 0 and float(np.max(qv)) == 0.0
     solved = free
     if pure_neumann:
-        compat = np.sum(g.degrees * fv).item()
-        scale = max(1.0, float(np.max(np.abs(rhs_full))))
-        if abs(compat) > tol * scale * n:
-            raise IncompatibleRHSError(
-                f"singular system: sum d_x f(x) = {compat!r} must vanish"
-            )
-        rhs_full -= g.degrees * (compat / np.sum(g.degrees))
+        # the projection leaves the residual |sum d f| / sum d at every vertex
+        compat, dsum = np.sum(g.degrees * fv).item(), float(np.sum(g.degrees))
+        if abs(compat) > tol * dsum:
+            raise IncompatibleRHSError(f"singular system: sum d_x f(x) = {compat!r} must vanish")
+        rhs_full -= g.degrees * (compat / dsum)
         solved = free[1:]  # the graph is connected, so pinning one vertex makes S_ff nonsingular
     if solved.size:
         matrix, coupling = _schrodinger_system(g, qv, solved, u)
@@ -572,8 +572,8 @@ def keller_osserman_chain(
 
 
 LIOUVILLE_NORM_THRESHOLD = 1e-6
-# The largest dense n x n float64 operator liouville_search builds, in bytes:
-# 1 GiB, which admits n up to 11,585.
+# The largest dense float64 array liouville_search builds, the n x n operator
+# or the restarts x n state, in bytes: 1 GiB, which admits n up to 11,585.
 LIOUVILLE_MAX_OPERATOR_BYTES = 2**30
 
 
@@ -679,18 +679,18 @@ def liouville_search(
     (zero tolerance) by the kernel of :func:`check_liouville_premises`. A
     counterexample is any exactly feasible function with sup norm above
     ``LIOUVILLE_NORM_THRESHOLD``; the Liouville theorem predicts none. A
-    graph whose dense operator would exceed ``LIOUVILLE_MAX_OPERATOR_BYTES``
+    search whose operator or state would exceed ``LIOUVILLE_MAX_OPERATOR_BYTES``
     raises BadParamsError before anything is allocated.
     """
     _require_liouville_params(p, bound)
-    if restarts < 1 or steps < 1:
-        raise BadParamsError("need restarts >= 1 and steps >= 1")
+    _require_count("restarts", restarts, 1)
+    _require_count("steps", steps, 1)
     n = g.n_vertices
-    nbytes = 8 * n * n
+    nbytes = 8 * n * max(n, restarts)
     if nbytes > LIOUVILLE_MAX_OPERATOR_BYTES:
         raise BadParamsError(
-            f"liouville_search on n = {n} vertices needs a dense n x n operator of {nbytes} "
-            f"bytes, above LIOUVILLE_MAX_OPERATOR_BYTES = {LIOUVILLE_MAX_OPERATOR_BYTES}"
+            f"liouville_search on n = {n} vertices with {restarts} restarts needs a dense array "
+            f"of {nbytes} bytes, above LIOUVILLE_MAX_OPERATOR_BYTES = {LIOUVILLE_MAX_OPERATOR_BYTES}"
         )
     rng = np.random.default_rng(seed)
     # The transposed random-walk matrix, pt[y, x] = mu_xy / d_x, so that
@@ -824,8 +824,7 @@ def spectrum_smallest(g: WeightedGraph, k: int, tol: float = 1e-8) -> list[Spect
     import scipy.sparse.linalg as spla
 
     n = g.n_vertices
-    if not isinstance(k, (int, np.integer)) or not (1 <= k <= n):
-        raise BadParamsError(f"need an integer 1 <= k <= {n}, got k={k!r}")
+    _require_count("k", k, 1, n)
     _require_finite("tol", tol, positive=True)
     dsqrt = np.sqrt(g.degrees)
     if k >= n - 1:

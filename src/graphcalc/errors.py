@@ -4,11 +4,14 @@ Every error raised by the library derives from :class:`GraphCalcError`, so
 callers (and the CLI) can distinguish bad input from genuine bugs.
 
 :func:`_require_finite` owns the rule for every tolerance, step size and
-bound a caller passes in: nonnegative (or positive) and finite, else
-:class:`BadParamsError`.
+bound a caller passes in: a real number, nonnegative (or positive) and
+finite, else :class:`BadParamsError`. :func:`_require_count` owns the rule
+for every count and size: an integer within its bounds.
 """
 
-import math
+import numbers
+import operator
+import sys
 
 
 class GraphCalcError(Exception):
@@ -40,12 +43,27 @@ class BadParamsError(GraphCalcError):
 
 
 def _require_finite(name: str, value: float, positive: bool = False) -> None:
-    """Raise :class:`BadParamsError` unless ``value`` is nonnegative (positive
-    if ``positive``) and finite: a NaN or infinite tolerance makes a check
-    meaningless, a negative one fails a correct run."""
-    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+    """Raise :class:`BadParamsError` unless ``value`` is a real number, not a bool,
+    nonnegative (positive if ``positive``) and finite: a NaN or infinite
+    tolerance makes a check meaningless, a negative one fails a correct run."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadParamsError(f"{name} must be a real number, got {value!r}")
+    # the abs bound refuses NaN, infinities and an integer beyond the double range
+    if not (abs(value) <= sys.float_info.max and (value > 0.0 if positive else value >= 0.0)):
         sign = "positive" if positive else "nonnegative"
         raise BadParamsError(f"{name} must be {sign} and finite, got {value!r}")
+
+
+def _require_count(name: str, value: int, minimum: int, maximum: int | None = None) -> None:
+    """Raise :class:`BadParamsError` unless ``value`` is an integer (Python or numpy,
+    not a bool) in [minimum, maximum], or at least ``minimum`` if ``maximum`` is None."""
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < minimum or (maximum is not None and count > maximum):
+        bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise BadParamsError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 class DomainMismatchError(GraphCalcError):

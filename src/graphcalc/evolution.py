@@ -44,6 +44,7 @@ from .errors import (
     BadParamsError,
     FileFormatError,
     LinearSolveFailureError,
+    _require_count,
     _require_finite,
 )
 from .graph import VertexFunction, WeightedGraph, require_same_domain
@@ -71,11 +72,9 @@ class EvolutionConfig:
     def __post_init__(self):
         object.__setattr__(self, "scheme", EvolutionScheme(self.scheme))
         _require_finite("dt", self.dt, positive=True)
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
-            raise BadParamsError(f"steps must be an integer >= 1, got {self.steps!r}")
+        _require_count("steps", self.steps, 1)
         _require_finite("solve_tol", self.solve_tol, positive=True)
-        if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
-            raise BadParamsError(f"stride must be an integer >= 1, got {self.stride!r}")
+        _require_count("stride", self.stride, 1)
 
 
 @dataclass

@@ -25,6 +25,7 @@ from .errors import (
     NonFiniteValueError,
     NonPositiveWeightError,
     SelfLoopError,
+    _require_count,
     _require_finite,
 )
 from .serialize import fmt_float, read_json, write_json
@@ -503,9 +504,8 @@ def _edge_weights(m: int, weight, weight_sampler, rng) -> np.ndarray:
         if w.shape != (m,):
             raise BadParamsError("weight sampler must return one weight per edge")
         return w
-    weight = float(weight)
     _require_finite("uniform edge weight", weight, positive=True)
-    return np.full(m, weight)
+    return np.full(m, float(weight))
 
 
 def _gnp_pairs(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -550,8 +550,8 @@ def generate(
     # Only gnp and a weight sampler draw; the other families never load numpy.random.
     rng = np.random.default_rng(seed) if family == "gnp" or weight_sampler is not None else None
     if family == "grid2d":
-        if rows is None or cols is None or rows < 2 or cols < 2:
-            raise BadParamsError("grid2d requires rows >= 2 and cols >= 2")
+        _require_count("rows", rows, 2)
+        _require_count("cols", cols, 2)
         wr, wc = len(str(rows - 1)), len(str(cols - 1))
         heads = [f"r{i:0{wr}d}" for i in range(rows)]
         tails = [f"c{j:0{wc}d}" for j in range(cols)]
@@ -567,15 +567,12 @@ def generate(
         del v, keep  # not kept alive through the build
         return _with_weights(names, records, weight, weight_sampler, rng)
 
-    if n is None or n < 2:
-        raise BadParamsError(f"family {family!r} requires n >= 2, got {n!r}")
+    _require_count("n", n, 3 if family == "cycle" else 2)
     names = _vertex_names(n)
 
     if family == "path":
         records = [np.arange(n - 1), np.arange(1, n)]
     elif family == "cycle":
-        if n < 3:
-            raise BadParamsError("cycle requires n >= 3")
         records = [np.arange(n), np.arange(1, n + 1) % n]
     elif family == "complete":
         records = list(np.triu_indices(n, 1))

@@ -180,6 +180,16 @@ def test_check_liouville_operator_above_the_limit_exit_2(runner, tmp_path, monke
     assert line.startswith("error: ") and "n = 20" in line and "3200 bytes" in line
 
 
+def test_check_liouville_restart_state_above_the_limit_exit_2(runner, tmp_path, monkeypatch):
+    _, gpath = _write_graph(tmp_path, "gnp", n=20, p=0.3, seed=42)
+    monkeypatch.setattr(gc.elliptic, "LIOUVILLE_MAX_OPERATOR_BYTES", 3200)
+    result = runner.invoke(main, ["check", "liouville", "--graph", str(gpath), "--trials", "21"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith("error: ") and "21 restarts" in line and "3360 bytes" in line
+
+
 def test_check_missing_graph_exit_2(runner):
     result = runner.invoke(main, ["check", "kato1", "--graph", "missing.edges"])
     assert result.exit_code == 2
@@ -189,7 +199,40 @@ def test_check_zero_trials_exit_2(runner, tmp_path):
     _, gpath = _write_graph(tmp_path, "path", n=3)
     result = runner.invoke(main, ["check", "kato1", "--graph", str(gpath), "--trials", "0"])
     assert result.exit_code == 2, result.output
-    assert result.output == "error: trials must be >= 1, got 0\n"
+    assert result.output == "error: trials must be an integer >= 1, got 0\n"
+
+
+# Each count option, the arguments it goes with, and the value just below its
+# minimum. click refuses a value that is not an integer, the library's count
+# rule one that is too small; both exit 2 without a traceback.
+_COUNT_OPTIONS = {
+    "gen --n": (["gen", "--family", "path", "-o", "x.edges"], "--n", "1"),
+    "gen --rows": (["gen", "--family", "grid2d", "--cols", "3", "-o", "x.edges"], "--rows", "1"),
+    "check --trials": (["check", "kato1", "--graph", "g.edges"], "--trials", "0"),
+    "check --steps": (["check", "liouville", "--graph", "g.edges"], "--steps", "0"),
+    "solve --max-iters": (["solve", "gl", "--graph", "g.edges"], "--max-iters", "-1"),
+    "evolve --steps": (
+        ["evolve", "heat", "--graph", "g.edges", "--u0", "u0.json", "--dt", "0.1"], "--steps", "0"
+    ),
+    "evolve --stride": (
+        ["evolve", "heat", "--graph", "g.edges", "--u0", "u0.json", "--dt", "0.1", "--steps", "2"],
+        "--stride", "0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNT_OPTIONS))
+def test_bad_count_option_exit_2(runner, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    g, _ = _write_graph(tmp_path, "path", n=3)
+    _write_u0(tmp_path, g, np.ones(3))
+    args, option, below = _COUNT_OPTIONS[name]
+    for value in ("2.5", "nan", "true", below):
+        result = runner.invoke(main, [*args, option, value])
+        assert result.exit_code == 2, (value, result.output)
+        assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith("error: ") and f" must be an integer >= {int(below) + 1}, got {below}" in line
 
 
 def test_check_deterministic_output_bytes(runner, tmp_path):

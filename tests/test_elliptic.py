@@ -83,6 +83,23 @@ def test_pure_neumann_matches_bordered_reference(complex_data):
             assert abs(np.sum(g.degrees * u.values)) <= 1e-10, name
 
 
+def test_pure_neumann_tolerance_bounds_the_residual_it_leaves():
+    # the projection leaves |sum d f| / sum d at every vertex, so f is refused
+    # exactly when that residual would exceed tol
+    g = gc.generate("star", n=100)
+    d, tol, zero = g.degrees, 1e-10, gc.Potential.zero(g)
+    f = np.zeros(100)
+    f[0] = 1.0
+    f -= np.dot(d, f) / np.sum(d)
+    # 0.9 of the old allowance tol * max(1, max|d f|) * n: residual 2.25e-9
+    shift = 0.9 * tol * np.max(np.abs(d * f)) * 100 / np.sum(d)
+    with pytest.raises(gc.IncompatibleRHSError):
+        gc.solve_linear_schrodinger(g, zero, gc.VertexFunction(g.vertices, f + shift), tol=tol)
+    u, report = gc.solve_linear_schrodinger(g, zero, gc.VertexFunction(g.vertices, f + 0.9 * tol), tol=tol)
+    assert report.converged
+    assert report.final_residual == pytest.approx(0.9 * tol, rel=1e-2)
+
+
 def _hitting_times(g, target):
     h, report = gc.solve_linear_schrodinger(
         g, gc.Potential.zero(g), gc.VertexFunction.constant(g, 1.0), {target: 0.0}
@@ -613,6 +630,15 @@ def test_liouville_search_refuses_an_operator_above_the_limit(monkeypatch):
     assert gc.liouville_search(g, 2.0, 1.0, restarts=1, steps=1).restarts == 1
 
 
+def test_liouville_search_refuses_restart_state_above_the_limit(monkeypatch):
+    # the restarts x n state counts against the same limit as the operator
+    g = gc.generate("gnp", n=20, p=0.3, seed=42)
+    monkeypatch.setattr(elliptic, "LIOUVILLE_MAX_OPERATOR_BYTES", 8 * 20 * 20)
+    with pytest.raises(gc.BadParamsError, match=r"n = 20 vertices with 21 restarts .* of 3360 bytes"):
+        gc.liouville_search(g, 2.0, 1.0, restarts=21, steps=1)
+    assert gc.liouville_search(g, 2.0, 1.0, restarts=20, steps=1).restarts == 20
+
+
 def _row_verdicts(g, rows, p, bound):
     return [
         gc.check_liouville_premises(g, gc.VertexFunction(g.vertices, row), p, bound, tol=0.0).passed
@@ -925,7 +951,7 @@ def test_spectrum_k_validation(k3):
     # k < n - 1 on the 6-cycle, where a fractional k would reach ARPACK
     for g in (k3, gc.generate("cycle", n=6)):
         for k in (2.5, float("nan")):
-            with pytest.raises(gc.BadParamsError, match="need an integer"):
+            with pytest.raises(gc.BadParamsError, match="k must be an integer"):
                 gc.spectrum_smallest(g, k)
 
 

@@ -191,6 +191,11 @@ def test_finiteness_rule_is_stated_once():
     ]
 
 
+def test_count_rule_is_stated_once():
+    # errors._require_count words every "must be an integer" message
+    assert _functions_saying(_package_trees(), "must be an integer") == ["errors._require_count"]
+
+
 def test_second_function_stating_a_rule_is_found():
     tree = ast.parse(
         'def f(x):\n    """x must be positive and finite."""\n    return x\n'
