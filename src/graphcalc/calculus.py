@@ -217,16 +217,17 @@ def _slot_plan(g: WeightedGraph) -> _SlotPlan:
         if n_high:
             rows = order[:n_high]
             ptr = np.concatenate([[0], np.cumsum(deg[rows])[:-1]])
-            # the entries of the high rows, row after row
+            # the entries of the high rows, row after row, and their rows
             hent = np.repeat(row_ptr[rows] - ptr, deg[rows]) + np.arange(int(deg[rows].sum()))
-            high = (g._ent_cols[hent], g._ent_rows[hent], g._ent_coef[hent], ptr)
+            hrows = np.repeat(rows, deg[rows])
+            high = (g._ent_cols[hent], hrows, g._ent_w[hent] / g.degrees[hrows], ptr)
         inv = np.empty_like(order)
         inv[order] = np.arange(len(order))
         # Unlike the CSR arrays these stay writeable: np.take copies a
         # read-only index array on every call (5x the gather at n = 10^4).
         g._slot_plan = _SlotPlan(
             cols=np.concatenate([g._ent_cols[ent], fold_rows[None, :]]),
-            coef=g._ent_coef[ent],
+            coef=g._ent_w[ent] / g.degrees[fold_rows],
             counts=tuple(int(np.count_nonzero(fold_deg > j)) for j in range(k)),
             high=high,
             inv=inv,
@@ -297,10 +298,12 @@ class _CSC(NamedTuple):
 
 def _csc(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> _CSC:
     """The n x n matrix with ``values[k]`` at (``rows[k]``, ``cols[k]``), the
-    positions distinct: exact zeros dropped, entries in (column, row) order."""
+    positions distinct: exact zeros dropped, entries in (column, row) order.
+    The stable sort (a merge sort) takes linear time on entries that come
+    in a few runs already in that order, as ``_graph_entries`` gives them."""
     keep = values != 0
     rows, cols, values = rows[keep], cols[keep], values[keep]
-    order = np.argsort(cols * n + rows)
+    order = np.argsort(cols * n + rows, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.intc)
     np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
     return _CSC(n, values[order], rows[order].astype(np.intc), indptr)
@@ -308,12 +311,14 @@ def _csc(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> _CSC
 
 def _graph_entries(g: WeightedGraph, diag: np.ndarray, off: np.ndarray):
     """(rows, cols, values) of the n x n matrix with diagonal ``diag`` and
-    ``off[k]`` at the k-th CSR entry of g: the diagonal first, then the
-    entries row by row, each row's columns ascending."""
+    ``off[k]`` at (y, x) for the k-th CSR entry (x, y) of g, its transpose.
+    The pattern of g is symmetric, so the CSR entries read transposed come
+    column by column, each column's rows ascending: the diagonal first,
+    then the entries, two runs in the (column, row) order of ``_csc``."""
     index = np.arange(g.n_vertices)
     return (
-        np.concatenate([index, g._ent_rows]),
         np.concatenate([index, g._ent_cols]),
+        np.concatenate([index, g._per_entry(index)]),
         np.concatenate([diag, off]),
     )
 
@@ -430,9 +435,13 @@ def dirichlet_energy(g: WeightedGraph, u: VertexFunction) -> float:
 def free_energy(g: WeightedGraph, u: VertexFunction) -> float:
     """Ginzburg-Landau free energy: half the Dirichlet energy plus the
     quartic well sum_x d_x (1 - |u(x)|^2)^2 / 4."""
-    values = require_same_domain(g, u)
+    return _free_energy(g, require_same_domain(g, u), dirichlet_energy(g, u))
+
+
+def _free_energy(g: WeightedGraph, values: np.ndarray, energy: float) -> float:
+    """The free energy of ``values``, given their Dirichlet energy."""
     well = np.sum(g.degrees * (1.0 - _abs2(values)) ** 2)
-    return float(0.5 * dirichlet_energy(g, u) + 0.25 * well)
+    return float(0.5 * energy + 0.25 * well)
 
 
 # -- certificates -------------------------------------------------------------

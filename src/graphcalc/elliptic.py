@@ -212,19 +212,22 @@ def _gl_jacobian(g: WeightedGraph, v: np.ndarray) -> _CSC:
     Each diagonal entry of a block P - diag(x) is 0 - x, as scipy's sparse
     difference gives it.
     """
+    # P at the transpose (y, x) of the CSR entry (x, y) is mu_xy / d_y
+    coef = g._ent_w / g.degrees[g._ent_cols]
     if not np.iscomplexobj(v):
-        return _csc(len(v), *_graph_entries(g, 0.0 - 3.0 * v * v, g._ent_coef))
+        return _csc(len(v), *_graph_entries(g, 0.0 - 3.0 * v * v, coef))
     n = len(v)
     a, b = v.real, v.imag
-    top = _graph_entries(g, 0.0 - (3.0 * a * a + b * b), g._ent_coef)
-    bottom = _graph_entries(g, 0.0 - (a * a + 3.0 * b * b), g._ent_coef)
+    # both diagonal blocks have the entries of P, at the same positions
+    rows, cols, top = _graph_entries(g, 0.0 - (3.0 * a * a + b * b), coef)
+    bottom = np.concatenate([0.0 - (a * a + 3.0 * b * b), coef])
     index = np.arange(n)
     cross = -2.0 * a * b
     return _csc(
         2 * n,
-        np.concatenate([top[0], bottom[0] + n, index, index + n]),
-        np.concatenate([top[1], bottom[1] + n, index + n, index]),
-        np.concatenate([top[2], bottom[2], cross, cross]),
+        np.concatenate([rows, rows + n, index, index + n]),
+        np.concatenate([cols, cols + n, index + n, index]),
+        np.concatenate([top, bottom, cross, cross]),
     )
 
 
@@ -697,7 +700,8 @@ def liouville_search(
     # u @ pt gives every row's weighted neighbor means. A dense matmul is
     # faster than the CSR kernel at the sizes the search runs on.
     pt = np.zeros((n, n))
-    pt[g._ent_cols, g._ent_rows] = g._ent_coef
+    rows = g._per_entry(np.arange(n))
+    pt[g._ent_cols, rows] = g._ent_w / g.degrees[rows]
     u = rng.uniform(0.0, bound, (restarts, n))
     eta = 0.01 * bound
 
@@ -805,7 +809,8 @@ def _normalized_entries(g: WeightedGraph, shift: float):
     scipy's sparse arithmetic gives them: the diagonal 1 - shift, the entries
     0 - (inv_x w) inv_y with inv = 1 / sqrt(d)."""
     inv = 1.0 / np.sqrt(g.degrees)
-    off = 0.0 - (inv[g._ent_rows] * g._ent_w) * inv[g._ent_cols]
+    # the entry at the transpose (y, x) of the CSR entry (x, y)
+    off = 0.0 - (inv[g._ent_cols] * g._ent_w) * g._per_entry(inv)
     return _graph_entries(g, np.full(g.n_vertices, 1.0 - shift), off)
 
 

@@ -4,11 +4,13 @@ Every error raised by the library derives from :class:`GraphCalcError`, so
 callers (and the CLI) can distinguish bad input from genuine bugs.
 
 :func:`_require_finite` owns the rule for every tolerance, step size and
-bound a caller passes in: a real number, nonnegative (or positive) and
-finite, else :class:`BadParamsError`. :func:`_require_count` owns the rule
-for every count and size: an integer within its bounds.
+bound a caller passes in: a real number, nonnegative (or positive, or
+nonzero) and finite, else :class:`BadParamsError`. :func:`_require_count`
+owns the rule for every count and size: an integer within its bounds.
+Both word the refused value with :func:`_shown`.
 """
 
+import math
 import numbers
 import operator
 import sys
@@ -42,28 +44,47 @@ class BadParamsError(GraphCalcError):
     """Generator or solver parameters are out of range or inconsistent."""
 
 
-def _require_finite(name: str, value: float, positive: bool = False) -> None:
+def _shown(value) -> str:
+    """``repr(value)``, or the digit count of an integer too long for repr."""
+    try:
+        return repr(value)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        if not isinstance(value, int):
+            raise
+    size = abs(value)
+    digits = int(math.log10(size)) + 1
+    # log10 rounds, so the count may be one off
+    digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
+def _require_finite(name: str, value: float, positive: bool = False, nonzero: bool = False) -> None:
     """Raise :class:`BadParamsError` unless ``value`` is a real number, not a bool,
-    nonnegative (positive if ``positive``) and finite: a NaN or infinite
-    tolerance makes a check meaningless, a negative one fails a correct run."""
+    nonnegative (positive if ``positive``, of either sign but nonzero if
+    ``nonzero``) and finite: a NaN or infinite tolerance makes a check
+    meaningless, a negative one fails a correct run."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise BadParamsError(f"{name} must be a real number, got {value!r}")
+        raise BadParamsError(f"{name} must be a real number, got {_shown(value)}")
     # the abs bound refuses NaN, infinities and an integer beyond the double range
-    if not (abs(value) <= sys.float_info.max and (value > 0.0 if positive else value >= 0.0)):
-        sign = "positive" if positive else "nonnegative"
-        raise BadParamsError(f"{name} must be {sign} and finite, got {value!r}")
+    signed = value > 0.0 if positive else value != 0.0 if nonzero else value >= 0.0
+    if not (abs(value) <= sys.float_info.max and signed):
+        sign = "positive" if positive else "nonzero" if nonzero else "nonnegative"
+        raise BadParamsError(f"{name} must be {sign} and finite, got {_shown(value)}")
 
 
 def _require_count(name: str, value: int, minimum: int, maximum: int | None = None) -> None:
     """Raise :class:`BadParamsError` unless ``value`` is an integer (Python or numpy,
-    not a bool) in [minimum, maximum], or at least ``minimum`` if ``maximum`` is None."""
+    not a bool) in [minimum, maximum], or in [minimum, sys.maxsize] if
+    ``maximum`` is None: no larger count can size a sequence or an array."""
     try:
         count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = None
+    if maximum is None and count is not None and count > sys.maxsize:
+        maximum = sys.maxsize
     if count is None or count < minimum or (maximum is not None and count > maximum):
         bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise BadParamsError(f"{name} must be an integer {bounds}, got {value!r}")
+        raise BadParamsError(f"{name} must be an integer {bounds}, got {_shown(value)}")
 
 
 class DomainMismatchError(GraphCalcError):

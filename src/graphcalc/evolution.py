@@ -32,12 +32,12 @@ from .calculus import (
     _abs2,
     _csc,
     _CSC,
+    _free_energy,
     _graph_entries,
     _laplacian_values,
     _require_real,
     _splu,
     dirichlet_energy,
-    free_energy,
     mass,
 )
 from .errors import (
@@ -102,7 +102,8 @@ class EvolutionTrace:
 
     def record(self, g: WeightedGraph, step: int, dt: float, values: np.ndarray) -> None:
         u = VertexFunction(g.vertices, values)
-        row = (step, step * dt, mass(g, u), dirichlet_energy(g, u), free_energy(g, u),
+        energy = dirichlet_energy(g, u)
+        row = (step, step * dt, mass(g, u), energy, _free_energy(g, u.values, energy),
                float(np.max(np.abs(values))))
         for column, value in zip(self._columns(), row):
             column.append(value)
@@ -254,8 +255,7 @@ def schrodinger_step(
     g: WeightedGraph, u: VertexFunction, dt: float, solve_tol: float = 1e-12
 ) -> VertexFunction:
     """A single Cayley step; ``dt`` may be negative, which inverts the step."""
-    if not (np.isfinite(dt) and dt != 0.0):
-        raise BadParamsError(f"dt must be nonzero and finite, got {dt!r}")
+    _require_finite("dt", dt, nonzero=True)
     _require_finite("solve_tol", solve_tol, positive=True)
     values, step = _cayley_start(g, u, dt, solve_tol)
     return VertexFunction(g.vertices, step(values))

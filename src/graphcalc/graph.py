@@ -150,13 +150,16 @@ class WeightedGraph:
     largest double are rejected at construction, so every instance satisfies
     0 < d_x < inf.
 
-    The CSR arrays (``_row_ptr``, ``_ent_rows``, ``_ent_cols``, ``_ent_w``
-    and ``_ent_coef``, rows and columns ascending in vertex order) are the
-    only store of the edges; every other form is derived from them. Two
-    derived forms are cached on first use: ``_weight_matrix`` and
-    ``_slot_plan``, the neighbour-sum layout of ``calculus``. Neither takes
-    part in equality, hashing or ``repr``. No solver reads ``weight_matrix``;
-    it is kept for the tests' scipy references and the benchmark's tracing.
+    The CSR arrays (``_row_ptr``, and per entry ``_ent_cols`` and
+    ``_ent_w``, rows and columns ascending in vertex order) are the only
+    store of the edges: 16 bytes per CSR entry, two entries per edge. Every
+    other form is derived from them. An entry's row (``_per_entry``) and its
+    random-walk coefficient mu_xy / d_x are derived by each call that needs
+    them, never stored. Two derived forms are
+    cached on first use: ``_weight_matrix`` and ``_slot_plan``, the
+    neighbour-sum layout of ``calculus``. Neither takes part in equality,
+    hashing or ``repr``. No solver reads ``weight_matrix``; it is kept for
+    the tests' scipy references and the benchmark's tracing.
 
     Construction holds no Python object per edge: records are collected in
     typed arrays, and the CSR arrays are sorted and gathered from one key
@@ -169,9 +172,7 @@ class WeightedGraph:
         "_index",
         "_degrees",
         "_weight_matrix",
-        "_ent_rows",
         "_ent_cols",
-        "_ent_coef",
         "_ent_w",
         "_row_ptr",
         "_slot_plan",
@@ -220,25 +221,25 @@ class WeightedGraph:
         # columns ascending: (row, col) pairs are unique, so one sort on
         # row * n + col orders them. Records mostly come in sorted runs,
         # which the stable sort (a merge sort) is quickest on. Entry k < m
-        # is record k, entry m + k its reverse; the key buffer then holds
-        # each entry's column.
+        # is record k, entry m + k its reverse; an entry's column is its
+        # key mod n.
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         counts = np.bincount(xi, minlength=n)
         counts += np.bincount(yi, minlength=n)
         np.cumsum(counts, out=row_ptr[1:])
+        del counts
         key = np.empty(2 * m, dtype=np.int64)
         np.multiply(xi, n, out=key[:m])
         key[:m] += yi
         np.multiply(yi, n, out=key[m:])
         key[m:] += xi
-        order = np.argsort(key, kind="stable")
-        key[:m], key[m:] = yi, xi
         del xi, yi
+        order = np.argsort(key, kind="stable")
         cols = key[order]
         del key
+        np.remainder(cols, n, out=cols)
         data = w.take(order, mode="wrap")
         del order, w
-        rows = np.repeat(np.arange(n), counts)
 
         # Degrees accumulate per row via reduceat in ascending neighbor
         # order; recomputing with the same reduction matches bitwise.
@@ -250,29 +251,18 @@ class WeightedGraph:
             raise BadParamsError(
                 f"the degree of vertex {bad!r} overflows: its weights sum beyond the largest double"
             )
-        coef = degrees[rows]
-        np.divide(data, coef, out=coef)
 
         self._vertices = vertices
         # vertex -> position, built on the first lookup
         self._index = None
         self._degrees = degrees
         self._weight_matrix = None
-        self._ent_rows = rows
         self._ent_cols = cols
-        self._ent_coef = coef
         self._ent_w = data
         self._row_ptr = row_ptr
         # built by the first neighbour sum (calculus._slot_plan)
         self._slot_plan = None
-        for arr in (
-            self._degrees,
-            self._ent_rows,
-            self._ent_cols,
-            self._ent_coef,
-            self._ent_w,
-            self._row_ptr,
-        ):
+        for arr in (self._degrees, self._ent_cols, self._ent_w, self._row_ptr):
             arr.setflags(write=False)
 
     @staticmethod
@@ -305,12 +295,23 @@ class WeightedGraph:
     def vertices(self) -> tuple[str, ...]:
         return self._vertices
 
+    def _per_entry(self, values: np.ndarray) -> np.ndarray:
+        """``values[x]`` at every CSR entry of row x, in entry order: with
+        ``np.arange(n)`` each entry's row."""
+        return np.repeat(values, np.diff(self._row_ptr))
+
     def _upper(self, block: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and weight arrays of the CSR entries above the diagonal
         (of those in ``block``): one entry per edge, in canonical edge order."""
-        rows, cols = self._ent_rows[block], self._ent_cols[block]
+        start, stop, _ = block.indices(len(self._ent_cols))
+        # the rows the block spans, each cut to its entries inside the block
+        ptr = self._row_ptr
+        lo = int(np.searchsorted(ptr, start, side="right")) - 1
+        hi = int(np.searchsorted(ptr, stop, side="left"))
+        rows = np.repeat(np.arange(lo, hi), np.diff(np.clip(ptr[lo : hi + 1], start, stop)))
+        cols = self._ent_cols[start:stop]
         upper = cols > rows
-        return rows[upper], cols[upper], self._ent_w[block][upper]
+        return rows[upper], cols[upper], self._ent_w[start:stop][upper]
 
     @property
     def edges(self) -> tuple[EdgeRecord, ...]:
@@ -579,8 +580,9 @@ def generate(
     elif family == "star":
         records = [np.zeros(n - 1, dtype=np.int64), np.arange(1, n)]
     elif family == "gnp":
-        if p is None or not (0.0 < p <= 1.0):
-            raise BadParamsError(f"gnp requires 0 < p <= 1, got {p!r}")
+        _require_finite("p", p, positive=True)
+        if p > 1.0:
+            raise BadParamsError(f"p must be at most 1, got {p!r}")
         for _ in range(GNP_RETRY_BUDGET):
             records = list(_gnp_pairs(n, p, rng))
             # a draw with an isolated vertex is redrawn before any weight
@@ -609,7 +611,9 @@ def _with_weights(names, records: list, weight, weight_sampler, rng) -> Weighted
 
 def d_constant(g: WeightedGraph) -> float:
     """Largest ratio d_x / mu_xy over all incident vertex-edge pairs (always >= 1)."""
-    ratios = g.degrees[g._ent_rows]
+    # Each edge xy is two CSR entries of one weight, so the pairs (d_y, mu_xy)
+    # at the columns y are the pairs (d_x, mu_xy) at the rows x.
+    ratios = g.degrees[g._ent_cols]
     np.divide(ratios, g._ent_w, out=ratios)
     return float(ratios.max())
 

@@ -59,6 +59,7 @@ def construction_ref(records):
     return {
         "vertices": tuple(vertices),
         "row_ptr": weights.indptr.astype(np.int64),
+        "rows": rows,
         "cols": weights.indices.astype(np.int64),
         "w": weights.data,
         "coef": weights.data / degrees[rows],
@@ -143,8 +144,9 @@ def neighbor_sum_ref(g, values, f=None):
     """The CSR neighbour-sum kernels as first written: the terms
     ``coef * f(u[cols] - u[rows])`` of every entry, summed per row by
     ``np.add.reduceat`` along the last axis (f = identity if None)."""
-    diff = values[..., g._ent_cols] - values[..., g._ent_rows]
-    terms = g._ent_coef * (diff if f is None else f(diff))
+    rows = np.repeat(np.arange(g.n_vertices), np.diff(g._row_ptr))
+    diff = values[..., g._ent_cols] - values[..., rows]
+    terms = g._ent_w / g.degrees[rows] * (diff if f is None else f(diff))
     return np.add.reduceat(terms, g._row_ptr[:-1], axis=-1)
 
 

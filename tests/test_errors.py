@@ -2,6 +2,8 @@
 takes a count or a real number: a bad value is a BadParamsError, never a
 TypeError, an OverflowError or a silently accepted bool."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,58 @@ def test_damping_above_one_is_refused():
     with pytest.raises(gc.BadParamsError, match=r"^damping must be at most 1, got 1.5$"):
         gc.SolverConfig(damping=1.5)
     assert gc.SolverConfig(damping=1.0).damping == 1.0
+
+
+def test_schrodinger_step_dt_takes_the_finiteness_rule():
+    u = gc.VertexFunction.constant(C6, 1.0)
+    for bad in ("x", None, 1j, True):
+        with pytest.raises(gc.BadParamsError, match=r"^dt must be a real number, got "):
+            gc.schrodinger_step(C6, u, bad)
+    for bad in (0, 0.0, -0.0, float("nan"), float("-inf"), -(10**400)):
+        with pytest.raises(gc.BadParamsError, match=r"^dt must be nonzero and finite, got "):
+            gc.schrodinger_step(C6, u, bad)
+    # a negative dt inverts the step
+    assert gc.schrodinger_step(C6, gc.schrodinger_step(C6, u, np.int64(-1)), 1.0).values == pytest.approx(1.0)
+
+
+def test_gnp_p_takes_the_finiteness_rule():
+    for bad in ("x", None, 1j, True):
+        with pytest.raises(gc.BadParamsError, match=r"^p must be a real number, got "):
+            gc.generate("gnp", n=5, p=bad)
+    for bad in (0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(gc.BadParamsError, match=r"^p must be positive and finite, got "):
+            gc.generate("gnp", n=5, p=bad)
+    with pytest.raises(gc.BadParamsError, match=r"^p must be at most 1, got 1.5$"):
+        gc.generate("gnp", n=5, p=1.5)
+    assert gc.generate("gnp", n=5, p=np.int64(1)).n_edges == 10
+
+
+_HUGE = 10**5000  # beyond the 4,300 digits Python prints by default
+
+
+def test_an_integer_too_long_to_print_is_worded_by_its_digits():
+    u = gc.VertexFunction.constant(C6, 1.0)
+    cases = [
+        (lambda: gc.SolverConfig(tol=_HUGE), "tol must be positive and finite"),
+        (lambda: gc.generate("path", n=3, weight=_HUGE), "uniform edge weight must be positive and finite"),
+        (lambda: gc.generate("gnp", n=5, p=_HUGE), "p must be positive and finite"),
+        (lambda: gc.liouville_search(C6, _HUGE, 1.0), "p must be positive and finite"),
+        (lambda: gc.generate("path", n=_HUGE), rf"n must be an integer in \[2, {sys.maxsize}\]"),
+        (lambda: gc.spectrum_smallest(C6, _HUGE), r"k must be an integer in \[1, 6\]"),
+        (lambda: gc.liouville_search(C6, 2.0, 1.0, restarts=_HUGE), rf"restarts must be an integer in \[1, {sys.maxsize}\]"),
+    ]
+    for call, rule in cases:
+        with pytest.raises(gc.BadParamsError, match=rf"^{rule}, got an integer of 5001 digits$"):
+            call()
+    with pytest.raises(gc.BadParamsError, match=r"^dt must be nonzero and finite, got a negative integer of 5001 digits$"):
+        gc.schrodinger_step(C6, u, -_HUGE)
+    # the count is exact on either side of a power of ten
+    for value, digits in ((_HUGE - 1, 5000), (_HUGE + 1, 5001), (10**4300, 4301)):
+        with pytest.raises(gc.BadParamsError, match=rf"got an integer of {digits} digits$"):
+            gc.SolverConfig(tol=value)
+
+
+def test_no_count_above_sys_maxsize():
+    with pytest.raises(gc.BadParamsError, match=rf"^steps must be an integer in \[1, {sys.maxsize}\], got {sys.maxsize + 1}$"):
+        gc.EvolutionConfig(dt=0.1, steps=sys.maxsize + 1, scheme="heat_implicit")
+    assert gc.EvolutionConfig(dt=0.1, steps=sys.maxsize, scheme="heat_implicit").steps == sys.maxsize

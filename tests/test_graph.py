@@ -230,7 +230,8 @@ def _assert_matches_reference(records):
     for got, want in (
         (g._ent_cols, ref["cols"]),
         (g._ent_w, ref["w"]),
-        (g._ent_coef, ref["coef"]),
+        (g._per_entry(np.arange(g.n_vertices)), ref["rows"]),
+        (g._ent_w / g.degrees[ref["rows"]], ref["coef"]),
         (g.degrees, ref["degrees"]),
         (g.weight_matrix.data, ref["weights"].data),
         (g.weight_matrix.indices, ref["weights"].indices),
@@ -255,6 +256,39 @@ def test_construction_randomly_labelled_long_path():
     records = [(names[i], names[i + 1], float(rng.uniform(0.1, 5.0))) for i in range(n - 1)]
     records = [records[k] for k in rng.permutation(n - 1)]
     _assert_matches_reference(records)
+
+
+def test_graph_stores_a_column_and_a_weight_per_csr_entry():
+    # an entry's row and coefficient are derived on each call, never stored;
+    # the slot plan, a cache built by the first neighbour sum, is not built yet
+    assert not {"_ent_rows", "_ent_coef"} & set(gc.WeightedGraph.__slots__)
+    checked = 0
+    for name, g in [*family_corpus(3), ("grid30", gc.generate("grid2d", rows=30, cols=30))]:
+        entries = 2 * g.n_edges
+        if entries in (g.n_vertices, g.n_vertices + 1):
+            continue  # the degrees or row pointers would count as entries
+        held = [getattr(g, slot) for slot in gc.WeightedGraph.__slots__]
+        per_entry = [a for a in held if isinstance(a, np.ndarray) and a.shape == (entries,)]
+        assert sum(a.nbytes for a in per_entry) == 16 * entries, name
+        checked += 1
+    assert checked >= 15
+
+
+def test_derived_rows_and_upper_entries_match_their_definition():
+    rng = np.random.default_rng(25)
+    graphs = [g for _, g in family_corpus(3)]
+    graphs += [gc.build_graph(_random_records(rng, [int(rng.integers(2, 40))], 60)) for _ in range(20)]
+    for g in graphs:
+        rows = np.repeat(np.arange(g.n_vertices), np.diff(g._row_ptr))
+        assert _same_bits(g._per_entry(np.arange(g.n_vertices)), rows)
+        xi, yi, w = g._upper()
+        upper = g._ent_cols > rows
+        assert _same_bits(xi, rows[upper]) and _same_bits(yi, g._ent_cols[upper])
+        assert _same_bits(w, g._ent_w[upper])
+        for block in (1, 3, 7):
+            parts = [g._upper(slice(k, k + block)) for k in range(0, 2 * g.n_edges, block)]
+            for got, want in zip(zip(*parts), (xi, yi, w)):
+                assert _same_bits(np.concatenate(got), want)
 
 
 def test_disconnected_components_match_scipy_reference():
@@ -329,7 +363,7 @@ def test_equality_and_hash_ignore_record_order():
 def _assert_same_graph(g, ref, tmp_path):
     assert g == ref and hash(g) == hash(ref)
     assert g.vertices == ref.vertices
-    assert _same_bits(g._ent_coef, ref._ent_coef)
+    assert _same_bits(g._ent_w, ref._ent_w) and _same_bits(g._ent_cols, ref._ent_cols)
     assert _same_bits(g.degrees, ref.degrees)
     gc.write_edge_list(g, tmp_path / "g.edges")
     gc.write_edge_list(ref, tmp_path / "ref.edges")
@@ -436,6 +470,9 @@ def test_generate_memory_stays_near_the_graph_size():
     g, size, peak = _traced(_grid300)
     assert g.n_edges == 179_400
     assert peak <= 1.5 * size, (peak, size)
+    # column and weight per CSR entry (16 bytes), degrees, row pointers and
+    # names: 13.03 MB, 73 bytes per edge
+    assert size <= 13_100_000, size
 
 
 def test_write_edge_list_memory_stays_near_the_graph_size(tmp_path):
@@ -455,16 +492,17 @@ def test_read_edge_list_memory_stays_near_the_graph_size(grid300_file):
     assert g.n_edges == 179_400
     assert peak <= 1.5 * size, (peak, size)
     # the unranked records are freed once ranked (see below)
-    assert peak <= 1.15 * size, (peak, size)
+    assert peak <= 19_000_000, (peak, size)
 
 
 def test_build_frees_the_unranked_records():
     # The records' unranked index and weight arrays (24 bytes per edge,
     # 4.3 MB here) are freed once ranked, not kept by the caller until the
-    # build ends, where its peak is: 1.08x the graph here, and 1.36x when
-    # they were kept.
+    # build ends, where its peak is: 18.4 MB here, against 20.4 MB when the
+    # graph also stored each entry's row and coefficient, and 1.36x that
+    # graph's size when the records were kept.
     _, size, peak = _traced(_grid300)
-    assert peak <= 1.15 * size, (peak, size)
+    assert peak <= 19_000_000, (peak, size)
 
 
 def test_gnp_reference_seeds_redraw_for_both_reasons():
@@ -546,6 +584,16 @@ def test_d_constant_matches_oracle_and_at_least_one():
         assert d >= 1.0
 
 
+def test_d_constant_is_the_largest_ratio_over_the_entries():
+    sampler = lambda r, m: r.uniform(0.01, 10.0, m)
+    for seed in range(8):
+        g = gc.generate("gnp", n=40, p=0.2, seed=seed, weight_sampler=sampler)
+        rows = np.repeat(np.arange(g.n_vertices), np.diff(g._row_ptr))
+        d = gc.d_constant(g)
+        assert type(d) is float
+        assert _same_bits(d, np.max(g.degrees[rows] / g._ent_w))
+
+
 def test_d_constant_equals_one_iff_single_edge(p2):
     # equality requires every vertex to have exactly one incident edge,
     # which on a connected graph means the single-edge graph
@@ -618,6 +666,13 @@ def test_edge_list_bytes_match_recorded(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == EDGE_LIST_SHA256[name], name
         lines = path.read_text().splitlines()
         assert lines == [f"{x} {y} {fmt_float(mu)}" for x, y, mu in g.edges]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+def test_edge_list_bytes_hold_for_any_write_block(monkeypatch, tmp_path, block):
+    # blocks of 1 and 7 entries split rows; 2^15 holds each graph whole
+    monkeypatch.setattr(graph, "_WRITE_BLOCK_ENTRIES", block)
+    test_edge_list_bytes_match_recorded(tmp_path)
 
 
 def _weight_runs(n, runs):

@@ -113,7 +113,8 @@ def test_schrodinger_free_block_and_coupling_match_scipy(g, complex_data):
 
 def _gl_jacobian_ref(g, v):
     n = g.n_vertices
-    P = sp.csr_matrix((g._ent_coef, g._ent_cols, g._row_ptr), shape=(n, n))
+    coef = g._ent_w / np.repeat(g.degrees, np.diff(g._row_ptr))
+    P = sp.csr_matrix((coef, g._ent_cols, g._row_ptr), shape=(n, n))
     if not np.iscomplexobj(v):
         return P - sp.diags(3.0 * v * v)
     a, b = v.real, v.imag

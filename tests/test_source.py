@@ -183,12 +183,9 @@ def _functions_saying(trees: dict[str, ast.Module], text: str) -> list[str]:
 
 
 def test_finiteness_rule_is_stated_once():
-    # errors._require_finite words every "must be ... and finite" message;
-    # schrodinger_step's "nonzero and finite" dt is a rule of its own
-    assert _functions_saying(_package_trees(), " and finite") == [
-        "errors._require_finite",
-        "evolution.schrodinger_step",
-    ]
+    # errors._require_finite words every "must be ... and finite" message,
+    # schrodinger_step's "nonzero and finite" dt included
+    assert _functions_saying(_package_trees(), " and finite") == ["errors._require_finite"]
 
 
 def test_count_rule_is_stated_once():
