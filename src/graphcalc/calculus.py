@@ -187,8 +187,12 @@ def _abs2(values: np.ndarray) -> np.ndarray:
 _FOLD_DEGREE = 4
 
 
-class _SlotPlan(NamedTuple):
-    """Where the terms of each slot come from; built once per graph."""
+@dataclass(eq=False)
+class _SlotPlan:
+    """Where the terms of each slot come from; built once per graph. Its
+    index arrays are intp: numpy would convert the graph's 32-bit columns on
+    every gather (at 5 * 10^4 entries, np.take 6x and fancy indexing 3x
+    slower)."""
 
     # (k + 1, m): row j < k holds the column of each fold row's j-th entry,
     # row k the fold row itself. Fold rows are the rows of degree at most
@@ -199,6 +203,9 @@ class _SlotPlan(NamedTuple):
     counts: tuple[int, ...]  # c_j, the number of fold rows with a j-th entry
     high: tuple | None  # (cols, rows, coef, row starts) of the other rows
     inv: np.ndarray  # the position of each vertex in descending-degree order
+    # (rows, cols, weights) of the entries above the diagonal, one per edge
+    # in canonical edge order; built by the first dirichlet_energy call
+    upper: tuple | None = None
 
 
 def _slot_plan(g: WeightedGraph) -> _SlotPlan:
@@ -220,13 +227,13 @@ def _slot_plan(g: WeightedGraph) -> _SlotPlan:
             # the entries of the high rows, row after row, and their rows
             hent = np.repeat(row_ptr[rows] - ptr, deg[rows]) + np.arange(int(deg[rows].sum()))
             hrows = np.repeat(rows, deg[rows])
-            high = (g._ent_cols[hent], hrows, g._ent_w[hent] / g.degrees[hrows], ptr)
+            high = (g._ent_cols[hent].astype(np.intp), hrows, g._ent_w[hent] / g.degrees[hrows], ptr)
         inv = np.empty_like(order)
         inv[order] = np.arange(len(order))
         # Unlike the CSR arrays these stay writeable: np.take copies a
         # read-only index array on every call (5x the gather at n = 10^4).
         g._slot_plan = _SlotPlan(
-            cols=np.concatenate([g._ent_cols[ent], fold_rows[None, :]]),
+            cols=np.concatenate([g._ent_cols[ent], fold_rows[None, :]], dtype=np.intp),
             coef=g._ent_w[ent] / g.degrees[fold_rows],
             counts=tuple(int(np.count_nonzero(fold_deg > j)) for j in range(k)),
             high=high,
@@ -428,8 +435,12 @@ def dirichlet_energy(g: WeightedGraph, u: VertexFunction) -> float:
     Equals <-lap u, u> in the degree-weighted inner product.
     """
     values = require_same_domain(g, u)
-    xi, yi, w = g._upper()
-    return float(np.sum(w * _abs2(values[xi] - values[yi])))
+    plan = _slot_plan(g)
+    if plan.upper is None:
+        rows, cols, w = g._upper()
+        plan.upper = (rows, cols.astype(np.intp), w)
+    rows, cols, w = plan.upper
+    return float(np.sum(w * _abs2(np.take(values, rows) - np.take(values, cols))))
 
 
 def free_energy(g: WeightedGraph, u: VertexFunction) -> float:

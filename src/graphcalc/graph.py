@@ -33,11 +33,17 @@ from .serialize import fmt_float, read_json, write_json
 EdgeRecord = tuple[str, str, float]
 
 GNP_RETRY_BUDGET = 100
+# Vertex indices are C ints (np.intc, 32 bits) in records, ranks,
+# connectivity labels and CSR columns, so a graph has at most this many
+# vertices; generate and the build refuse more.
+MAX_VERTICES = int(np.iinfo(np.intc).max)
 # at most this many G(n, p) pairs get a uniform at once (unless one row has more)
 _GNP_BLOCK_PAIRS = 1 << 16
 # at most this many CSR entries are turned into Python objects at once when
 # an edge list is written
 _WRITE_BLOCK_ENTRIES = 1 << 15
+# the build gathers the sorted keys of at most this many CSR entries at once
+_BUILD_BLOCK_ENTRIES = 1 << 16
 
 
 def _is_vertex_id(v) -> bool:
@@ -89,15 +95,20 @@ def _check_records(names, xi, yi, w) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ``names`` must be distinct valid vertex ids, so equal names mean equal
     indices.
     """
-    xi = np.asarray(xi, dtype=np.int64)
-    yi = np.asarray(yi, dtype=np.int64)
+    xi = np.asarray(xi, dtype=np.intc)
+    yi = np.asarray(yi, dtype=np.intc)
     w = np.asarray(w, dtype=np.float64)
-    pair = np.minimum(xi, yi) * len(names) + np.maximum(xi, yi)
+    # min * n + max overflows 32 bits, so the key is int64
+    pair = np.minimum(xi, yi, dtype=np.int64)
+    pair *= len(names)
+    pair += np.maximum(xi, yi)
     # a stable sort lists each pair's records in record order, so every
     # record after the first of its pair follows an equal key
     order = np.argsort(pair, kind="stable")
+    ranked = pair.take(order)
     repeat = np.zeros(len(pair), dtype=bool)
-    repeat[order[1:]] = pair[order[1:]] == pair[order[:-1]]
+    repeat[order[1:]] = ranked[1:] == ranked[:-1]
+    del order, ranked
     bad = (xi == yi) | ~(np.isfinite(w) & (w > 0.0)) | repeat
     if bad.any():
         k = int(bad.argmax())
@@ -107,11 +118,11 @@ def _check_records(names, xi, yi, w) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _frombuffers(xi: array, yi: array, w: array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index and weight arrays collected in ``array('q')`` and
+    """The index and weight arrays collected in ``array('i')`` and
     ``array('d')`` buffers, as numpy arrays sharing their memory."""
     return (
-        np.frombuffer(xi, dtype=np.int64),
-        np.frombuffer(yi, dtype=np.int64),
+        np.frombuffer(xi, dtype=np.intc),
+        np.frombuffer(yi, dtype=np.intc),
         np.frombuffer(w, dtype=np.float64),
     )
 
@@ -120,7 +131,7 @@ def _records_to_arrays(edge_records) -> tuple[list, np.ndarray, np.ndarray, np.n
     """Distinct vertex names in order of appearance, plus the index and weight
     arrays of ``(x, y, mu)`` records."""
     ids: dict = {}
-    xi, yi, w = array("q"), array("q"), array("d")
+    xi, yi, w = array("i"), array("i"), array("d")
     for record_no, record in enumerate(edge_records):
         try:
             x, y, mu = record
@@ -152,19 +163,21 @@ class WeightedGraph:
 
     The CSR arrays (``_row_ptr``, and per entry ``_ent_cols`` and
     ``_ent_w``, rows and columns ascending in vertex order) are the only
-    store of the edges: 16 bytes per CSR entry, two entries per edge. Every
-    other form is derived from them. An entry's row (``_per_entry``) and its
+    store of the edges: 12 bytes per CSR entry (a 32-bit column and a
+    double weight), two entries per edge. Vertex indices are C ints, so a
+    graph has at most ``MAX_VERTICES`` = 2^31 - 1 vertices. Every other form
+    is derived from the CSR arrays. An entry's row (``_per_entry``) and its
     random-walk coefficient mu_xy / d_x are derived by each call that needs
-    them, never stored. Two derived forms are
-    cached on first use: ``_weight_matrix`` and ``_slot_plan``, the
-    neighbour-sum layout of ``calculus``. Neither takes part in equality,
-    hashing or ``repr``. No solver reads ``weight_matrix``; it is kept for
-    the tests' scipy references and the benchmark's tracing.
+    them, never stored. Two derived forms are cached on first use:
+    ``_weight_matrix`` and ``_slot_plan``, the neighbour-sum layout of
+    ``calculus``. Neither takes part in equality, hashing or ``repr``. No
+    solver reads ``weight_matrix``; it is kept for the tests' scipy
+    references and the benchmark's tracing.
 
     Construction holds no Python object per edge: records are collected in
-    typed arrays, and the CSR arrays are sorted and gathered from one key
-    array covering both orientations of each edge, so that few arrays of
-    2|E| entries are alive at once.
+    32-bit index arrays, and the CSR arrays are sorted and gathered from one
+    key array covering both orientations of each edge, so that few arrays
+    of 2|E| entries are alive at once.
     """
 
     __slots__ = (
@@ -191,29 +204,38 @@ class WeightedGraph:
         reader and the record constructor end here. ``names`` are distinct
         valid vertex ids, and each occurs in some record. The build takes the
         arrays out of ``records``, so that, with no other reference to them,
-        each is freed once the build no longer needs it.
+        each is freed once the build no longer needs it. It re-ranks the
+        index arrays in place, so they must not share memory.
         """
         g = cls.__new__(cls)
         g._build(names, records)
         return g
 
     def _build(self, names, records: list) -> None:
+        n = len(names)
+        if n > MAX_VERTICES:
+            raise BadParamsError(f"a graph has at most {MAX_VERTICES} vertices, got {n}")
         xi, yi, w = _check_records(names, *records)
         records.clear()
         if not len(w):
             raise BadParamsError("a graph needs at least one edge")
 
         # Each whole-graph temporary is dropped (del) once no later step
-        # needs it, so that few of them are alive at once.
+        # needs it, so that few of them are alive at once. Indices are
+        # 32-bit throughout; the sort key and its permutation are the only
+        # 8-byte index arrays of 2|E| entries.
 
         # canonical vertex order, and each name's position in it
-        n, m = len(names), len(w)
+        m = len(w)
         perm = sorted(range(n), key=names.__getitem__)
         vertices = tuple(map(names.__getitem__, perm))
-        rank = np.empty(n, dtype=np.int64)
-        rank[perm] = np.arange(n)
+        rank = np.empty(n, dtype=np.intc)
+        rank[perm] = np.arange(n, dtype=np.intc)
         del perm
-        xi, yi = rank[xi], rank[yi]
+        # re-ranked in place: with an output, mode="wrap" writes straight
+        # into it, where the default mode would buffer a copy
+        np.take(rank, xi, out=xi, mode="wrap")
+        np.take(rank, yi, out=yi, mode="wrap")
         del rank
         self._check_connected(vertices, xi, yi)
 
@@ -228,16 +250,21 @@ class WeightedGraph:
         counts += np.bincount(yi, minlength=n)
         np.cumsum(counts, out=row_ptr[1:])
         del counts
+        # row * n + col overflows 32 bits, so the key is int64
         key = np.empty(2 * m, dtype=np.int64)
-        np.multiply(xi, n, out=key[:m])
+        np.multiply(xi, n, out=key[:m], dtype=np.int64)
         key[:m] += yi
-        np.multiply(yi, n, out=key[m:])
+        np.multiply(yi, n, out=key[m:], dtype=np.int64)
         key[m:] += xi
         del xi, yi
         order = np.argsort(key, kind="stable")
-        cols = key[order]
+        # the columns are written a block at a time straight into 32-bit
+        # storage, so that no second 8-byte array of 2|E| entries is formed
+        cols = np.empty(2 * m, dtype=np.intc)
+        for start in range(0, 2 * m, _BUILD_BLOCK_ENTRIES):
+            block = slice(start, start + _BUILD_BLOCK_ENTRIES)
+            np.remainder(key.take(order[block]), n, out=cols[block])
         del key
-        np.remainder(cols, n, out=cols)
         data = w.take(order, mode="wrap")
         del order, w
 
@@ -270,7 +297,7 @@ class WeightedGraph:
         # Hook and shortcut: every root hooks onto the smallest root across
         # its edges, then pointer jumping flattens the trees to depth one.
         # root[i] <= i throughout, so vertex 0 is the root of its component.
-        root = np.arange(len(vertices))
+        root = np.arange(len(vertices), dtype=np.intc)
         while True:
             rx, ry = root[xi], root[yi]
             differ = rx != ry
@@ -298,7 +325,8 @@ class WeightedGraph:
     def _per_entry(self, values: np.ndarray) -> np.ndarray:
         """``values[x]`` at every CSR entry of row x, in entry order: with
         ``np.arange(n)`` each entry's row."""
-        return np.repeat(values, np.diff(self._row_ptr))
+        ptr = self._row_ptr
+        return values.repeat(ptr[1:] - ptr[:-1])
 
     def _upper(self, block: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and weight arrays of the CSR entries above the diagonal
@@ -350,7 +378,7 @@ class WeightedGraph:
 
             n = len(self._vertices)
             matrix = sp.csr_matrix((self._ent_w, self._ent_cols, self._row_ptr), shape=(n, n))
-            # scipy may copy the int64 index arrays down to int32
+            # scipy copies the int64 row pointers down to int32 where they fit
             for arr in (matrix.data, matrix.indices, matrix.indptr):
                 arr.setflags(write=False)
             self._weight_matrix = matrix
@@ -528,7 +556,7 @@ def _gnp_pairs(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, 
         r0 = r1
     k = np.concatenate(kept)
     i = np.searchsorted(starts, k, side="right") - 1
-    return i, k - starts[i] + i + 1
+    return i.astype(np.intc), (k - starts[i] + i + 1).astype(np.intc)
 
 
 def generate(
@@ -553,6 +581,7 @@ def generate(
     if family == "grid2d":
         _require_count("rows", rows, 2)
         _require_count("cols", cols, 2)
+        _require_count("rows * cols", int(rows) * int(cols), 4, MAX_VERTICES)
         wr, wc = len(str(rows - 1)), len(str(cols - 1))
         heads = [f"r{i:0{wr}d}" for i in range(rows)]
         tails = [f"c{j:0{wc}d}" for j in range(cols)]
@@ -560,7 +589,7 @@ def generate(
         # Vertex i * cols + j is (i, j). In row-major vertex order each
         # vertex has a record to its right neighbor, then one to the
         # neighbor below, where those exist.
-        v = np.arange(rows * cols).reshape(rows, cols)
+        v = np.arange(rows * cols, dtype=np.intc).reshape(rows, cols)
         right = np.broadcast_to(np.arange(cols) < cols - 1, (rows, cols))
         down = np.broadcast_to((np.arange(rows) < rows - 1)[:, None], (rows, cols))
         keep = np.stack([right, down], axis=2).ravel()
@@ -568,17 +597,21 @@ def generate(
         del v, keep  # not kept alive through the build
         return _with_weights(names, records, weight, weight_sampler, rng)
 
-    _require_count("n", n, 3 if family == "cycle" else 2)
+    # the count rule first, so that a bad n is worded as any count is
+    minimum = 3 if family == "cycle" else 2
+    _require_count("n", n, minimum)
+    _require_count("n", n, minimum, MAX_VERTICES)
     names = _vertex_names(n)
 
+    # The build re-ranks the index arrays in place, so no two share memory.
     if family == "path":
-        records = [np.arange(n - 1), np.arange(1, n)]
+        records = [np.arange(n - 1, dtype=np.intc), np.arange(1, n, dtype=np.intc)]
     elif family == "cycle":
-        records = [np.arange(n), np.arange(1, n + 1) % n]
+        records = [np.arange(n, dtype=np.intc), np.arange(1, n + 1, dtype=np.intc) % n]
     elif family == "complete":
-        records = list(np.triu_indices(n, 1))
+        records = [a.astype(np.intc) for a in np.triu_indices(n, 1)]
     elif family == "star":
-        records = [np.zeros(n - 1, dtype=np.int64), np.arange(1, n)]
+        records = [np.zeros(n - 1, dtype=np.intc), np.arange(1, n, dtype=np.intc)]
     elif family == "gnp":
         _require_finite("p", p, positive=True)
         if p > 1.0:
@@ -611,9 +644,9 @@ def _with_weights(names, records: list, weight, weight_sampler, rng) -> Weighted
 
 def d_constant(g: WeightedGraph) -> float:
     """Largest ratio d_x / mu_xy over all incident vertex-edge pairs (always >= 1)."""
-    # Each edge xy is two CSR entries of one weight, so the pairs (d_y, mu_xy)
-    # at the columns y are the pairs (d_x, mu_xy) at the rows x.
-    ratios = g.degrees[g._ent_cols]
+    # d_x / mu_xy at every CSR entry of row x: a repeat of each degree over
+    # its row, with no gather through the columns
+    ratios = g._per_entry(g.degrees)
     np.divide(ratios, g._ent_w, out=ratios)
     return float(ratios.max())
 
@@ -674,7 +707,7 @@ def _parse_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarra
     appearance, and the index and weight arrays of its records."""
     # vertex id -> position; freed on return, before the graph is built
     ids: dict[str, int] = {}
-    xi, yi, w = array("q"), array("q"), array("d")
+    xi, yi, w = array("i"), array("i"), array("d")
     add_x, add_y, add_w, index = xi.append, yi.append, w.append, ids.setdefault
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

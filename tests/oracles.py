@@ -60,7 +60,7 @@ def construction_ref(records):
         "vertices": tuple(vertices),
         "row_ptr": weights.indptr.astype(np.int64),
         "rows": rows,
-        "cols": weights.indices.astype(np.int64),
+        "cols": weights.indices.astype(np.intc),
         "w": weights.data,
         "coef": weights.data / degrees[rows],
         "degrees": degrees,

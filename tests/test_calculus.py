@@ -192,6 +192,20 @@ def test_slot_plan_does_not_change_equality_hash_or_repr():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
+def test_slot_plan_index_arrays_are_intp():
+    # the graph's columns are 32-bit; the plan converts them once, since
+    # numpy would convert them on every gather
+    graphs = [_mixed_degree_graph(seed) for seed in range(3)] + [_fixed_graph("grid")]
+    for g in graphs:
+        assert g._ent_cols.dtype == np.intc
+        gc.laplacian(g, gc.VertexFunction.constant(g, 1.0))
+        plan = g._slot_plan
+        assert plan.cols.dtype == plan.inv.dtype == np.intp
+        if plan.high is not None:
+            assert plan.high[0].dtype == plan.high[1].dtype == np.intp
+    assert any(g._slot_plan.high is not None for g in graphs)
+
+
 def test_laplacian_returns_same_scalar_kind(p3):
     ur = gc.VertexFunction.constant(p3, 1.0)
     uc = gc.VertexFunction.constant(p3, 1.0 + 0j)
@@ -269,6 +283,25 @@ def test_uniform_state_minimizes_free_energy():
         one = gc.VertexFunction.constant(g, 1.0)
         assert gc.dirichlet_energy(g, one) == 0.0
         assert gc.free_energy(g, one) == 0.0
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_dirichlet_energy_equals_the_upper_mask_form_bitwise(complex_values):
+    # the upper edges are cached in the slot plan on the first energy call
+    # only; each call sums exactly what the per-call mask form sums
+    rng = np.random.default_rng(32)
+    graphs = [g for _, g in family_corpus(3)] + [_mixed_degree_graph(seed) for seed in range(3)]
+    for g in graphs:
+        for call in range(2):
+            u = gc.random_vertex_function(g, rng, complex_values=complex_values, zero_prob=0.1)
+            if call == 0:
+                gc.laplacian(g, u)
+                assert g._slot_plan.upper is None
+            xi, yi, w = g._upper()
+            want = float(np.sum(w * abs2_ref(u.values[xi] - u.values[yi])))
+            assert np.float64(gc.dirichlet_energy(g, u)).tobytes() == np.float64(want).tobytes()
+            rows, cols, weights = g._slot_plan.upper
+            assert rows.dtype == cols.dtype == np.intp
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -260,16 +260,18 @@ def test_construction_randomly_labelled_long_path():
 
 def test_graph_stores_a_column_and_a_weight_per_csr_entry():
     # an entry's row and coefficient are derived on each call, never stored;
-    # the slot plan, a cache built by the first neighbour sum, is not built yet
+    # the slot plan, a cache built by the first neighbour sum, is not built yet.
+    # A column is a 32-bit index and a weight a double: 12 bytes per entry.
     assert not {"_ent_rows", "_ent_coef"} & set(gc.WeightedGraph.__slots__)
     checked = 0
     for name, g in [*family_corpus(3), ("grid30", gc.generate("grid2d", rows=30, cols=30))]:
         entries = 2 * g.n_edges
         if entries in (g.n_vertices, g.n_vertices + 1):
             continue  # the degrees or row pointers would count as entries
+        assert g._ent_cols.dtype == np.intc and g._ent_w.dtype == np.float64, name
         held = [getattr(g, slot) for slot in gc.WeightedGraph.__slots__]
         per_entry = [a for a in held if isinstance(a, np.ndarray) and a.shape == (entries,)]
-        assert sum(a.nbytes for a in per_entry) == 16 * entries, name
+        assert sum(a.nbytes for a in per_entry) == 12 * entries, name
         checked += 1
     assert checked >= 15
 
@@ -289,6 +291,81 @@ def test_derived_rows_and_upper_entries_match_their_definition():
             parts = [g._upper(slice(k, k + block)) for k in range(0, 2 * g.n_edges, block)]
             for got, want in zip(zip(*parts), (xi, yi, w)):
                 assert _same_bits(np.concatenate(got), want)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_build_blocks_keep_the_columns(monkeypatch, block):
+    # blocks of 1 and 7 entries split rows; 2^16 holds each graph whole
+    monkeypatch.setattr(graph, "_BUILD_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        _assert_matches_reference(_random_records(rng, [int(rng.integers(2, 40))], max_extra=60))
+
+
+def test_every_collector_hands_the_build_32_bit_indices(monkeypatch, tmp_path):
+    # the generators, the edge-list reader and the record constructor all
+    # hand over C-int index arrays, which the record check takes as they are
+    seen = []
+    check = graph._check_records
+
+    def spy(names, xi, yi, w):
+        seen.append((xi.dtype, yi.dtype, w.dtype))
+        out = check(names, xi, yi, w)
+        assert out[0] is xi and out[1] is yi and out[2] is w
+        return out
+
+    monkeypatch.setattr(graph, "_check_records", spy)
+    gc.write_edge_list(gc.generate("grid2d", rows=3, cols=4), tmp_path / "g.edges")
+    calls = [lambda f=family, kw=kw: gc.generate(f, seed=1, **kw) for family, kw in _GENERATOR_CASES]
+    calls += [
+        lambda: gc.generate("gnp", n=30, p=0.3, seed=4),
+        lambda: gc.generate("path", n=5, seed=2, weight_sampler=lambda r, m: r.uniform(1.0, 2.0, m)),
+        lambda: gc.read_edge_list(tmp_path / "g.edges"),
+        lambda: gc.build_graph([("b", "a", 1.0), ("b", "c", 2.0)]),
+    ]
+    for call in calls:
+        seen.clear()
+        call()
+        assert seen and set(seen) == {(np.dtype(np.intc), np.dtype(np.intc), np.dtype(np.float64))}
+
+
+def test_record_arrays_equal_the_record_indices():
+    rng = np.random.default_rng(30)
+    records = _random_records(rng, [30, 20], max_extra=40)
+    names, xi, yi, w = graph._records_to_arrays(records)
+    index = {v: i for i, v in enumerate(names)}
+    assert xi.dtype == yi.dtype == np.intc
+    assert xi.tolist() == [index[x] for x, _, _ in records]
+    assert yi.tolist() == [index[y] for _, y, _ in records]
+    assert w.tolist() == [mu for _, _, mu in records]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_gnp_pairs_equal_the_pair_loop(monkeypatch, block):
+    # the kept pairs of one pass over i < j, one uniform each, as 32-bit indices
+    monkeypatch.setattr(graph, "_GNP_BLOCK_PAIRS", block)
+    for n, p, seed in ((12, 0.2, 0), (40, 0.5, 1), (150, 0.05, 2)):
+        i, j = graph._gnp_pairs(n, p, np.random.default_rng(seed))
+        uniforms = np.random.default_rng(seed).random(n * (n - 1) // 2).tolist()
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        assert i.dtype == j.dtype == np.intc
+        assert list(zip(i.tolist(), j.tolist())) == [pq for pq, x in zip(pairs, uniforms) if x < p]
+
+
+def test_vertex_limit_is_refused_before_anything_is_built(monkeypatch):
+    # indices are C ints; the limit is tested with a lowered value, never
+    # with a graph of 2^31 vertices
+    assert graph.MAX_VERTICES == 2**31 - 1 == np.iinfo(np.intc).max
+    monkeypatch.setattr(graph, "MAX_VERTICES", 5)
+    with pytest.raises(gc.BadParamsError, match=r"^n must be an integer in \[2, 5\], got 6$"):
+        gc.generate("path", n=6)
+    with pytest.raises(gc.BadParamsError, match=r"^rows \* cols must be an integer in \[4, 5\], got 6$"):
+        gc.generate("grid2d", rows=2, cols=3)
+    records = [(f"v{i}", f"v{i + 1}", 1.0) for i in range(5)]
+    with pytest.raises(gc.BadParamsError, match=r"^a graph has at most 5 vertices, got 6$"):
+        gc.build_graph(records)
+    assert gc.build_graph(records[:4]).n_vertices == 5
+    assert gc.generate("cycle", n=5).n_vertices == 5
 
 
 def test_disconnected_components_match_scipy_reference():
@@ -470,9 +547,9 @@ def test_generate_memory_stays_near_the_graph_size():
     g, size, peak = _traced(_grid300)
     assert g.n_edges == 179_400
     assert peak <= 1.5 * size, (peak, size)
-    # column and weight per CSR entry (16 bytes), degrees, row pointers and
-    # names: 13.03 MB, 73 bytes per edge
-    assert size <= 13_100_000, size
+    # column and weight per CSR entry (12 bytes), degrees, row pointers and
+    # names: 11.60 MB, 65 bytes per edge
+    assert size <= 11_700_000, size
 
 
 def test_write_edge_list_memory_stays_near_the_graph_size(tmp_path):
@@ -496,13 +573,14 @@ def test_read_edge_list_memory_stays_near_the_graph_size(grid300_file):
 
 
 def test_build_frees_the_unranked_records():
-    # The records' unranked index and weight arrays (24 bytes per edge,
-    # 4.3 MB here) are freed once ranked, not kept by the caller until the
-    # build ends, where its peak is: 18.4 MB here, against 20.4 MB when the
-    # graph also stored each entry's row and coefficient, and 1.36x that
-    # graph's size when the records were kept.
+    # The records' 32-bit index arrays are re-ranked in place and freed once
+    # the sort key is built, and their weights once gathered (16 bytes per
+    # edge, 2.9 MB here), not kept by the caller until the build ends, where
+    # its peak is: 16.6 MB here, against 18.4 MB with 8-byte records and
+    # columns, 20.4 MB when the graph also stored each entry's row and
+    # coefficient, and 1.36x that graph's size when the records were kept.
     _, size, peak = _traced(_grid300)
-    assert peak <= 19_000_000, (peak, size)
+    assert peak <= 17_000_000, (peak, size)
 
 
 def test_gnp_reference_seeds_redraw_for_both_reasons():
@@ -592,6 +670,16 @@ def test_d_constant_is_the_largest_ratio_over_the_entries():
         d = gc.d_constant(g)
         assert type(d) is float
         assert _same_bits(d, np.max(g.degrees[rows] / g._ent_w))
+
+
+def test_d_constant_equals_the_largest_ratio_at_the_columns():
+    # each edge is two CSR entries of one weight, so the ratios at the rows
+    # and at the columns are the same set
+    rng = np.random.default_rng(31)
+    graphs = [g for _, g in family_corpus(3)]
+    graphs += [gc.build_graph(_random_records(rng, [int(rng.integers(2, 40))], 60)) for _ in range(20)]
+    for g in graphs:
+        assert _same_bits(gc.d_constant(g), np.max(g.degrees[g._ent_cols] / g._ent_w))
 
 
 def test_d_constant_equals_one_iff_single_edge(p2):
